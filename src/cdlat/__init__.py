@@ -63,7 +63,6 @@ from .report import (
     cache_get,
     cache_put,
     export_dot,
-    export_json,
     report_json,
 )
 from .specparse import evaluate, parse_spec, spec_text

@@ -8,7 +8,6 @@ verdict; a failing check carries a witness (subgroups and measures).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -725,10 +724,6 @@ def default_pairs(check_id: str | None = None) -> list[tuple[str, str]]:
     return pairs
 
 
-def run_pairs(pairs, *, threads: int = 1) -> list[Verdict]:
-    """Run (check_id, spec) pairs, preserving input order in the result."""
-    if threads <= 1:
-        return [run_check(cid, spec) for cid, spec in pairs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_check, cid, spec) for cid, spec in pairs]
-        return [f.result() for f in futures]
+def run_pairs(pairs) -> list[Verdict]:
+    """Run (check_id, spec) pairs in order."""
+    return [run_check(cid, spec) for cid, spec in pairs]

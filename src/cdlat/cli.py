@@ -80,7 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="cache directory (default: CDLAT_CACHE_DIR or ~/.cache/cdlat)",
         )
         p.add_argument(
-            "--threads", type=int, default=1, metavar="N", help="worker threads"
+            "--threads",
+            type=int,
+            default=1,
+            metavar="N",
+            help="accepted for compatibility; work runs sequentially and the output "
+            "does not depend on N",
         )
 
     pc = sub.add_parser("compute", help="compute the lattice of one group spec")
@@ -203,7 +208,7 @@ def _cmd_verify(args) -> int:
             evaluate(node, max_order=order_cap)  # surface construction errors early
             ids = check_ids() if check == "all" else (check,)
             pairs = [(cid, text) for cid in ids]
-        verdicts = run_pairs(pairs, threads=args.threads)
+        verdicts = run_pairs(pairs)
     except ParseError as exc:
         return _emit_error(args, exc, EXIT_PARSE)
     except _CAP_ERRORS as exc:

@@ -3,7 +3,7 @@
 Elements are integers 0..order-1 and the identity is always index 0.
 Small groups store a full multiplication table; constructions past the
 table threshold (large wreath products, UT(5,2)) multiply through a
-stored formula instead.
+stored formula instead.  Both are read the same way, as group.table[a][b].
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from .errors import BadParameter, NotAGroup, OrderCapExceeded
 DEFAULT_ORDER_CAP = 20000
 TABLE_LIMIT = 4096
 EXHAUSTIVE_ASSOC_LIMIT = 256
+# UT(n,2) tabulates only up to this order: a tuple table of UT(5,2) (order
+# 1024) would raise the peak memory of a corpus verification run from about
+# 25 MB to 33 MB, while its checks run as fast through the formula
+UT_TABLE_LIMIT = 256
 ASSOC_SAMPLE_FACTOR = 10  # sampled triples above the exhaustive limit
 _ASSOC_SEED = 0x5EED
 
@@ -33,8 +37,48 @@ PROVENANCES = (
 )
 
 
+class FormulaTable:
+    """Read-only row view with `table[a][b] == mul(a, b)`, for groups too
+    large to tabulate: rows are made on demand and never stored."""
+
+    __slots__ = ("mul", "order")
+
+    def __init__(self, mul: Callable[[int, int], int], order: int):
+        self.mul = mul
+        self.order = order
+
+    def __len__(self) -> int:
+        return self.order
+
+    def __getitem__(self, a: int) -> "_FormulaRow":
+        return _FormulaRow(self.mul, a)
+
+
+class _FormulaRow:
+    __slots__ = ("mul", "a")
+
+    def __init__(self, mul: Callable[[int, int], int], a: int):
+        self.mul = mul
+        self.a = a
+
+    def __getitem__(self, b: int) -> int:
+        return self.mul(self.a, b)
+
+
+def product_table(order: int, mul: Callable[[int, int], int], limit: int = TABLE_LIMIT):
+    """Tuple rows of `mul` for groups of order up to `limit`, else a
+    FormulaTable over it."""
+    if order > limit:
+        return FormulaTable(mul, order)
+    return [tuple([mul(a, b) for b in range(order)]) for a in range(order)]
+
+
 class Group:
-    """Immutable finite group over element indices with identity at 0."""
+    """Immutable finite group over element indices with identity at 0.
+
+    `table[a][b]` is the product of a and b: tuple rows for tabulated
+    groups, a FormulaTable for formula-backed ones.
+    """
 
     __slots__ = (
         "order",
@@ -43,10 +87,8 @@ class Group:
         "known_gens",
         "perm_images",
         "product_meta",
-        "_rows",
+        "table",
         "_inv",
-        "_mul_fn",
-        "_inv_fn",
         "_cache",
     )
 
@@ -56,44 +98,36 @@ class Group:
         *,
         name: str,
         provenance: str,
-        rows: Sequence[Sequence[int]] | None = None,
-        mul_fn: Callable[[int, int], int] | None = None,
+        rows: Sequence[Sequence[int]] | FormulaTable,
         inv_table: Sequence[int] | None = None,
-        inv_fn: Callable[[int], int] | None = None,
         known_gens: Iterable[int] = (),
         perm_images: Sequence[tuple[int, ...]] | None = None,
         product_meta=None,
     ):
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
-        if rows is None and mul_fn is None:
-            raise ValueError("a group needs either a table or a mul function")
         self.order = order
         self.name = name
         self.provenance = provenance
         self.known_gens = tuple(known_gens)
         self.perm_images = tuple(perm_images) if perm_images is not None else None
         self.product_meta = product_meta
-        self._rows = [tuple(r) for r in rows] if rows is not None else None
-        self._mul_fn = mul_fn
-        self._inv_fn = inv_fn
-        if inv_table is not None:
-            self._inv = tuple(inv_table)
-        elif self._rows is not None:
-            self._inv = _derive_inverses(self._rows)
+        if isinstance(rows, FormulaTable):
+            if inv_table is None:
+                raise ValueError("a formula-backed group needs an inverse table")
+            self.table = rows
         else:
-            self._inv = None
+            self.table = [tuple(r) for r in rows]
+        if inv_table is None:
+            inv_table = [row.index(0) for row in self.table]
+        self._inv = tuple(inv_table)
         self._cache = {}
 
     def mul(self, a: int, b: int) -> int:
-        if self._rows is not None:
-            return self._rows[a][b]
-        return self._mul_fn(a, b)
+        return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        if self._inv is not None:
-            return self._inv[a]
-        return self._inv_fn(a)
+        return self._inv[a]
 
     def conj(self, x: int, g: int) -> int:
         """x^g = g^-1 x g."""
@@ -101,7 +135,7 @@ class Group:
 
     def rows(self) -> list[tuple[int, ...]] | None:
         """Full multiplication table, or None for formula-backed groups."""
-        return self._rows
+        return None if isinstance(self.table, FormulaTable) else self.table
 
     def elements(self) -> range:
         return range(self.order)
@@ -127,14 +161,6 @@ class Group:
 
     def __repr__(self):
         return f"Group({self.name!r}, order={self.order})"
-
-
-def _derive_inverses(rows) -> tuple[int, ...]:
-    inv = []
-    for x, row in enumerate(rows):
-        y = row.index(0)
-        inv.append(y)
-    return tuple(inv)
 
 
 def check_axioms(group: Group, *, seed: int = _ASSOC_SEED) -> None:
@@ -381,32 +407,17 @@ def from_permutations(
         for a, b in enumerate(p):
             pi[b] = a
         inv[i] = index[tuple(pi)]
-    known = tuple(index[g] for g in gen_perms)
-    if n <= TABLE_LIMIT:
-        rows = [
-            [index[_compose(p, q)] for q in elems]
-            for p in elems
-        ]
-        return Group(
-            n,
-            name=name or f"perm{n}",
-            provenance="permutation-gens",
-            rows=rows,
-            inv_table=inv,
-            known_gens=known,
-            perm_images=elems,
-        )
 
-    def mul_fn(a: int, b: int, _e=elems, _i=index) -> int:
+    def mul(a: int, b: int, _e=elems, _i=index) -> int:
         return _i[_compose(_e[a], _e[b])]
 
     return Group(
         n,
         name=name or f"perm{n}",
         provenance="permutation-gens",
-        mul_fn=mul_fn,
+        rows=product_table(n, mul),
         inv_table=inv,
-        known_gens=known,
+        known_gens=tuple(index[g] for g in gen_perms),
         perm_images=elems,
     )
 
@@ -446,22 +457,13 @@ def _cyclic(n: int, max_order: int) -> Group:
     if n < 1:
         raise BadParameter(f"C_n needs n >= 1, got {n}")
     _cap(n, max_order, f"C{n}")
-    if n <= TABLE_LIMIT:
-        rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return Group(
-            n,
-            name=f"C{n}",
-            provenance="named-family",
-            rows=rows,
-            known_gens=(1,) if n > 1 else (),
-        )
     return Group(
         n,
         name=f"C{n}",
         provenance="named-family",
-        mul_fn=lambda a, b: (a + b) % n,
-        inv_fn=lambda a: (-a) % n,
-        known_gens=(1,),
+        rows=product_table(n, lambda a, b: (a + b) % n),
+        inv_table=[-a % n for a in range(n)],
+        known_gens=(1,) if n > 1 else (),
     )
 
 
@@ -479,21 +481,14 @@ def _dihedral(n: int, max_order: int) -> Group:
             return ((i1 - i2) % m) << 1 | (1 ^ j2)
         return ((i1 + i2) % m) << 1 | j2
 
-    if n <= TABLE_LIMIT:
-        rows = [[mul(x, y) for y in range(n)] for x in range(n)]
-        return Group(
-            n, name=f"D{n}", provenance="named-family", rows=rows, known_gens=(2, 1)
-        )
-
-    def inv_fn(x: int) -> int:
-        return x if x & 1 else ((-(x >> 1)) % m) << 1
-
+    # reflections are involutions; rotations invert their exponent
+    inv = [x if x & 1 else (-(x >> 1) % m) << 1 for x in range(n)]
     return Group(
         n,
         name=f"D{n}",
         provenance="named-family",
-        mul_fn=mul,
-        inv_fn=inv_fn,
+        rows=product_table(n, mul),
+        inv_table=inv,
         known_gens=(2, 1),
     )
 
@@ -516,9 +511,18 @@ def _quaternion(n: int, max_order: int) -> Group:
             return ((a1 - a2) % m) << 1 | 1
         return ((a1 - a2 + half) % m) << 1
 
-    rows = [[mul(x, y) for y in range(n)] for x in range(n)]
+    # (x^a)^-1 = x^-a and (x^a y)^-1 = x^(a + m/2) y
+    inv = [
+        ((u >> 1) + half) % m << 1 | 1 if u & 1 else (-(u >> 1) % m) << 1
+        for u in range(n)
+    ]
     return Group(
-        n, name=f"Q{n}", provenance="named-family", rows=rows, known_gens=(2, 1)
+        n,
+        name=f"Q{n}",
+        provenance="named-family",
+        rows=product_table(n, mul),
+        inv_table=inv,
+        known_gens=(2, 1),
     )
 
 
@@ -603,25 +607,13 @@ def _unitriangular(n: int, max_order: int) -> Group:
             prev = y
             y = mul(y, e)
         inv[e] = prev if e else 0
-    known = tuple(1 << ut_entry_bit(n, i, i + 1) for i in range(n - 1))
-    name = f"UT({n},2)"
-    if order <= EXHAUSTIVE_ASSOC_LIMIT:
-        rows = [[mul(a, b) for b in range(order)] for a in range(order)]
-        return Group(
-            order,
-            name=name,
-            provenance="named-family",
-            rows=rows,
-            inv_table=inv,
-            known_gens=known,
-        )
     return Group(
         order,
-        name=name,
+        name=f"UT({n},2)",
         provenance="named-family",
-        mul_fn=mul,
+        rows=product_table(order, mul, UT_TABLE_LIMIT),
         inv_table=inv,
-        known_gens=known,
+        known_gens=tuple(1 << ut_entry_bit(n, i, i + 1) for i in range(n - 1)),
     )
 
 

@@ -7,8 +7,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, TABLE_LIMIT, Group
+from .errors import BadParameter, OrderCapExceeded
+from .groups import DEFAULT_ORDER_CAP, TABLE_LIMIT, FormulaTable, Group
 from .subgroups import Subgroup
 
 
@@ -27,6 +27,19 @@ class DirectProductMeta:
         return x
 
 
+def _pair_rows(left, right, lo: int, ro: int) -> list[tuple[int, ...]]:
+    """Product table of two factor tables on packed pairs a*ro + b."""
+    rows = []
+    for a1 in range(lo):
+        la = left[a1]
+        high = [la[a2] * ro for a2 in range(lo)]
+        for b1 in range(ro):
+            rb = right[b1]
+            low = [rb[b2] for b2 in range(ro)]
+            rows.append(tuple([x + y for x in high for y in low]))
+    return rows
+
+
 def direct_product(
     g: Group, h: Group, *, max_order: int = DEFAULT_ORDER_CAP
 ) -> Group:
@@ -36,56 +49,33 @@ def direct_product(
         raise OrderCapExceeded(
             f"|{g.name} x {h.name}| = {order} > cap {max_order}"
         )
-    meta = DirectProductMeta(factors=(g, h))
     o2 = h.order
     right = f"({h.name})" if " x " in h.name else h.name
-    name = f"{g.name} x {right}"
     # only trust factor gens that actually generate; else leave empty and
     # let full_subgroup fall back to greedy generation
     if (g.known_gens or g.order == 1) and (h.known_gens or h.order == 1):
         gens = tuple(x * o2 for x in g.known_gens) + h.known_gens
     else:
         gens = ()
-    if order <= TABLE_LIMIT:
-        g_rows = g.rows()
-        h_rows = h.rows()
-        if g_rows is not None and h_rows is not None:
-            rows = []
-            for a1 in range(g.order):
-                ga = g_rows[a1]
-                for b1 in range(h.order):
-                    hb = h_rows[b1]
-                    rows.append(
-                        [ga[a2] * o2 + hb[b2] for a2 in range(g.order) for b2 in range(h.order)]
-                    )
-            inv = [g.inv(a) * o2 + h.inv(b) for a in range(g.order) for b in range(h.order)]
-            return Group(
-                order,
-                name=name,
-                provenance="direct-product",
-                rows=rows,
-                inv_table=inv,
-                known_gens=gens,
-                product_meta=meta,
-            )
+    gt, ht = g.table, h.table
+    if order <= TABLE_LIMIT and g.rows() is not None and h.rows() is not None:
+        table = _pair_rows(gt, ht, g.order, o2)
+    else:
 
-    def mul_fn(x: int, y: int) -> int:
-        a1, b1 = divmod(x, o2)
-        a2, b2 = divmod(y, o2)
-        return g.mul(a1, a2) * o2 + h.mul(b1, b2)
+        def mul(x: int, y: int) -> int:
+            a1, b1 = divmod(x, o2)
+            a2, b2 = divmod(y, o2)
+            return gt[a1][a2] * o2 + ht[b1][b2]
 
-    def inv_fn(x: int) -> int:
-        a, b = divmod(x, o2)
-        return g.inv(a) * o2 + h.inv(b)
-
+        table = FormulaTable(mul, order)
     return Group(
         order,
-        name=name,
+        name=f"{g.name} x {right}",
         provenance="direct-product",
-        mul_fn=mul_fn,
-        inv_fn=inv_fn,
+        rows=table,
+        inv_table=[g.inv(a) * o2 + h.inv(b) for a in range(g.order) for b in range(o2)],
         known_gens=gens,
-        product_meta=meta,
+        product_meta=DirectProductMeta(factors=(g, h)),
     )
 
 
@@ -164,7 +154,7 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
     """W = B semidirect C_n with B = G^n; conjugation by the top generator
     shifts base coordinates cyclically."""
     if n < 1:
-        raise OrderCapExceeded(f"wreath top order must be >= 1, got {n}")
+        raise BadParameter(f"wreath top order must be >= 1, got {n}")
     order = n * g.order**n
     if order > max_order:
         raise OrderCapExceeded(
@@ -172,18 +162,26 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
         )
     meta = WreathMeta(bottom=g, top_order=n)
     go = g.order
+    size = go**n
+    # shifts[k][f] is the base element s -> f(s + k): the base index with
+    # its k leading digits rotated to the end
+    shifts = [
+        [f % go ** (n - k) * go**k + f // go ** (n - k) for f in range(size)]
+        for k in range(n)
+    ]
+    # (f, k)^-1 = (s -> f(s - k)^-1, -k), base inverses digit by digit
+    base_inv = [0]
+    for _ in range(n):
+        base_inv = [
+            a * len(base_inv) + b for a in map(g.inv, range(go)) for b in base_inv
+        ]
+    inv = [shifts[-k][base_inv[f]] * n + -k % n for f in range(size) for k in range(n)]
 
-    def mul_fn(x: int, y: int) -> int:
+    def mul(x: int, y: int) -> int:
         fx, k = meta.coord_of(x)
         fy, l = meta.coord_of(y)
         out = tuple(g.mul(fx[s], fy[(s + k) % n]) for s in range(n))
         return meta.embed(out, (k + l) % n)
-
-    def inv_fn(x: int) -> int:
-        fx, k = meta.coord_of(x)
-        kk = (n - k) % n
-        out = tuple(g.inv(fx[(s - k) % n]) for s in range(n))
-        return meta.embed(out, kk)
 
     if g.known_gens or g.order == 1:
         gens = tuple(
@@ -193,37 +191,40 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
     else:
         gens = ()
     bottom_name = f"({g.name})" if " " in g.name else g.name
-    name = f"{bottom_name} wr C{n}"
-    if order <= TABLE_LIMIT:
-        coords = [meta.coord_of(x) for x in range(order)]
-        emb = {c: i for i, c in enumerate(coords)}
-        g_rows = g.rows()
-        if g_rows is None:
-            g_rows = [tuple(g.mul(a, b) for b in range(go)) for a in range(go)]
-        rows = []
-        for fx, k in coords:
-            row = []
-            for fy, l in coords:
-                out = tuple(g_rows[fx[s]][fy[(s + k) % n]] for s in range(n))
-                row.append(emb[(out, (k + l) % n)])
-            rows.append(row)
-        return Group(
-            order,
-            name=name,
-            provenance="wreath-product",
-            rows=rows,
-            known_gens=gens,
-            product_meta=meta,
-        )
     return Group(
         order,
-        name=name,
+        name=f"{bottom_name} wr C{n}",
         provenance="wreath-product",
-        mul_fn=mul_fn,
-        inv_fn=inv_fn,
+        rows=(
+            _wreath_rows(g, n, shifts) if order <= TABLE_LIMIT else FormulaTable(mul, order)
+        ),
+        inv_table=inv,
         known_gens=gens,
         product_meta=meta,
     )
+
+
+def _wreath_rows(g: Group, n: int, shifts: list[list[int]]) -> list[tuple[int, ...]]:
+    """Table of G wr C_n from the table of G: (f, k)(f', l) = (f * f'', k + l)
+    with f'' = shifts[k][f'], read from the table of the base G^n."""
+    base = g.table
+    for _ in range(n - 1):
+        base = _pair_rows(g.table, base, g.order, len(base))
+    # every entry is one of `order` ints; sharing them keeps the rows small
+    pool = list(range(len(base) * n))
+    # blocks[k][v]: the entries (v, k + l) for l = 0..n-1
+    blocks = [
+        [tuple(pool[v * n + (k + l) % n] for l in range(n)) for v in range(len(base))]
+        for k in range(n)
+    ]
+    rows = []
+    for f in range(len(base)):
+        row_f = base[f]
+        for k in range(n):
+            products = map(row_f.__getitem__, shifts[k])
+            cells = map(blocks[k].__getitem__, products)
+            rows.append(tuple(itertools.chain.from_iterable(cells)))
+    return rows
 
 
 def _wreath_meta(w: Group) -> WreathMeta:

@@ -1,6 +1,6 @@
 """Report assembly, JSON and DOT serialization, and the on-disk cache.
 
-Serialized output is byte-identical across runs and thread counts for a
+Serialized output is byte-identical across runs and `--threads` values for a
 fixed spec and engine version: keys are sorted, measures are exact
 decimal strings, and wall-clock data never enters a report.
 """
@@ -69,11 +69,6 @@ def build_verify_report(verdicts: list[Verdict]) -> dict:
 
 def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def export_json(report: dict) -> str:
-    """Alias kept for the public API surface."""
-    return report_json(report)
 
 
 def export_dot(result: CDResult) -> str:

@@ -125,10 +125,11 @@ def full_subgroup(g: Group) -> Subgroup:
     return cached
 
 
-def _extend(rows, mul, mask: int, elems: list[int], gens: list[int], g: int):
+def _extend(table, mask: int, elems: list[int], gens: list[int], g: int):
     """Dimino step: close subgroup (mask, elems, gens) with one new
-    generator g.  Returns the new (mask, elems); elems keeps discovery
-    order and starts with a copy of the input's."""
+    generator g, reading products from the group's table.  Returns the new
+    (mask, elems); elems keeps discovery order and starts with a copy of
+    the input's."""
     if mask >> g & 1:
         return mask, elems
     all_gens = gens + [g]
@@ -136,44 +137,26 @@ def _extend(rows, mul, mask: int, elems: list[int], gens: list[int], g: int):
     out = list(elems)
     reps = [g]
     qi = 0
-    if rows is not None:
-        while qi < len(reps):
-            r = reps[qi]
-            qi += 1
-            if mask >> r & 1:
-                continue
-            for h in base:
-                t = rows[h][r]
-                if not mask >> t & 1:
-                    mask |= 1 << t
-                    out.append(t)
-            row_r = rows[r]
-            for s in all_gens:
-                t = row_r[s]
-                if not mask >> t & 1:
-                    reps.append(t)
-    else:
-        while qi < len(reps):
-            r = reps[qi]
-            qi += 1
-            if mask >> r & 1:
-                continue
-            for h in base:
-                t = mul(h, r)
-                if not mask >> t & 1:
-                    mask |= 1 << t
-                    out.append(t)
-            for s in all_gens:
-                t = mul(r, s)
-                if not mask >> t & 1:
-                    reps.append(t)
+    while qi < len(reps):
+        r = reps[qi]
+        qi += 1
+        if mask >> r & 1:
+            continue
+        for h in base:
+            t = table[h][r]
+            if not mask >> t & 1:
+                mask |= 1 << t
+                out.append(t)
+        row_r = table[r]
+        for s in all_gens:
+            t = row_r[s]
+            if not mask >> t & 1:
+                reps.append(t)
     return mask, out
 
 
 def closure(g: Group, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of g containing the seed indices."""
-    rows = g.rows()
-    mul = g.mul
     mask = 1
     elems = [0]
     gens: list[int] = []
@@ -181,7 +164,7 @@ def closure(g: Group, seed: Iterable[int]) -> Subgroup:
         if not 0 <= x < g.order:
             raise ValueError(f"seed index {x} outside 0..{g.order - 1}")
         if not mask >> x & 1:
-            mask, elems = _extend(rows, mul, mask, elems, gens, x)
+            mask, elems = _extend(g.table, mask, elems, gens, x)
             gens.append(x)
     return Subgroup(g, mask, gens=tuple(gens))
 
@@ -191,45 +174,35 @@ def join_subgroups(h: Subgroup, k: Subgroup) -> Subgroup:
     g = h.ambient
     if k.ambient is not g:
         raise ValueError("subgroups live in different ambient groups")
-    rows = g.rows()
-    mul = g.mul
     mask = h.mask
     elems = bits_of(mask)
     gens = list(h.generators())
     for s in k.generators():
         if not mask >> s & 1:
-            mask, elems = _extend(rows, mul, mask, elems, gens, s)
+            mask, elems = _extend(g.table, mask, elems, gens, s)
             gens.append(s)
     return Subgroup(g, mask, gens=tuple(gens))
 
 
 def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:
     """Bitmask of the literal product set HK = {h*k}."""
-    rows = g.rows()
     mask = 0
-    if rows is not None:
-        for a in h.elements():
-            row = rows[a]
-            for b in k.elements():
-                mask |= 1 << row[b]
-    else:
-        mul = g.mul
-        for a in h.elements():
-            for b in k.elements():
-                mask |= 1 << mul(a, b)
+    right = k.elements()
+    for a in h.elements():
+        row = g.table[a]
+        for b in right:
+            mask |= 1 << row[b]
     return mask
 
 
 def _greedy_generators(g: Group, mask: int) -> tuple[int, ...]:
-    rows = g.rows()
-    mul = g.mul
     cur = 1
     elems = [0]
     gens: list[int] = []
     rest = mask & ~1
     while cur != mask:
         x = (rest & ~cur & -(rest & ~cur)).bit_length() - 1
-        cur, elems = _extend(rows, mul, cur, elems, gens, x)
+        cur, elems = _extend(g.table, cur, elems, gens, x)
         gens.append(x)
     return tuple(gens)
 
@@ -254,9 +227,7 @@ def all_subgroups(
         raise EnumerationLimitExceeded(
             f"|{g.name}| = {n} exceeds enumeration limit {max_order}"
         )
-    rows = g.rows()
-    if rows is None:
-        rows = [tuple(g.mul(a, b) for b in range(n)) for a in range(n)]
+    table = g.table
     # seed: trivial and all cyclic subgroups, in generator order
     found: dict[int, tuple[list[int], list[int]]] = {1: ([0], [])}
     worklist = [1]
@@ -267,7 +238,7 @@ def all_subgroups(
         while y != 0:
             mask |= 1 << y
             elems.append(y)
-            y = rows[y][x]
+            y = table[y][x]
         if mask not in found:
             found[mask] = (elems, [x])
             worklist.append(mask)
@@ -284,8 +255,8 @@ def all_subgroups(
             if covered >> x & 1:
                 continue
             for h in elems:
-                covered |= 1 << rows[h][x]
-            new_mask, new_elems = _extend(rows, None, kmask, elems, gens, x)
+                covered |= 1 << table[h][x]
+            new_mask, new_elems = _extend(table, kmask, elems, gens, x)
             if new_mask not in found:
                 found[new_mask] = (new_elems, gens + [x])
                 worklist.append(new_mask)
@@ -317,19 +288,13 @@ def centralizer(g: Group, h: Subgroup) -> Subgroup:
     cached = cache.get(h.mask)
     if cached is not None:
         return cached
-    gens = h.generators()
-    rows = g.rows()
+    table = g.table
+    gen_rows = [(s, table[s]) for s in h.generators()]
     mask = 0
-    if rows is not None:
-        for x in range(g.order):
-            row_x = rows[x]
-            if all(row_x[s] == rows[s][x] for s in gens):
-                mask |= 1 << x
-    else:
-        mul = g.mul
-        for x in range(g.order):
-            if all(mul(x, s) == mul(s, x) for s in gens):
-                mask |= 1 << x
+    for x in range(g.order):
+        row_x = table[x]
+        if all(row_x[s] == row_s[x] for s, row_s in gen_rows):
+            mask |= 1 << x
     result = Subgroup(g, mask)
     cache[h.mask] = result
     return result
@@ -379,7 +344,6 @@ def normal_closure(big: Subgroup, small: Subgroup) -> Subgroup:
         raise ValueError("subgroups live in different ambient groups")
     if small.mask & ~big.mask:
         raise ValueError("normal_closure needs small <= big")
-    rows = g.rows()
     mul = g.mul
     mask = small.mask
     elems = bits_of(mask)
@@ -393,7 +357,7 @@ def normal_closure(big: Subgroup, small: Subgroup) -> Subgroup:
             for s in list(gens):
                 c = mul(mul(ki, s), k)
                 if not mask >> c & 1:
-                    mask, elems = _extend(rows, mul, mask, elems, gens, c)
+                    mask, elems = _extend(g.table, mask, elems, gens, c)
                     gens.append(c)
                     changed = True
     return Subgroup(g, mask, gens=tuple(gens))

@@ -16,15 +16,8 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def table_rows(g: Group) -> list[tuple[int, ...]]:
-    rows = g.rows()
-    if rows is None:
-        rows = [tuple(g.mul(a, b) for b in range(g.order)) for a in range(g.order)]
-    return rows
-
-
 def is_closed_mask(g: Group, mask: int) -> bool:
-    rows = table_rows(g)
+    rows = g.table
     elems = [i for i in range(g.order) if mask >> i & 1]
     for a in elems:
         row = rows[a]
@@ -38,7 +31,7 @@ def brute_subgroup_masks(g: Group) -> set[int]:
     """Subset filtration: test every subset of Lagrange-compatible size
     containing the identity for closure under multiplication."""
     n = g.order
-    rows = table_rows(g)
+    rows = g.table
     others = list(range(1, n))
     found = set()
     for d in divisors(n):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cdlat import check_ids, default_pairs, run_check, run_pairs
+from cdlat import check_ids, default_pairs, run_check
 from cdlat.checks import CHECKS
 
 
@@ -134,16 +134,6 @@ def test_witness_present_exactly_on_failure():
     assert witness is not None and witness["note"]
     for item in witness["subgroups"]:
         assert item["order"] >= 1 and item["measure"].isdigit()
-
-
-def test_run_pairs_matches_sequential_and_threads():
-    pairs = [("cd-sublattice", "D8"), ("sym-cd", "S4"), ("measure-lemmas", "C6")]
-    seq = run_pairs(pairs, threads=1)
-    par = run_pairs(pairs, threads=4)
-    strip = lambda vs: [
-        (v.check_id, v.group_spec, v.status, v.witness, v.stats) for v in vs
-    ]
-    assert strip(seq) == strip(par)
 
 
 def test_default_pairs_cover_all_checks():

@@ -199,6 +199,21 @@ def test_q16_generalized():
     check_axioms(q16)
 
 
+@pytest.mark.parametrize("family", ["C", "D", "Q"])
+def test_families_past_table_limit_are_formula_backed(family):
+    g = named_group(family, 8192)
+    assert g.rows() is None
+    assert all(g.mul(x, g.inv(x)) == 0 == g.mul(g.inv(x), x) for x in range(g.order))
+
+
+def test_q8192_presentation_past_table_limit():
+    q = named_group("Q", 8192)
+    x, y = 2, 1
+    assert q.element_order(x) == 4096
+    assert q.mul(y, y) == 2048 << 1  # y^2 = x^(m/2)
+    assert q.mul(q.mul(q.inv(y), x), y) == q.inv(x)
+
+
 def test_ut_generators_generate():
     for n in (3, 4):
         g = named_group("UT", n)

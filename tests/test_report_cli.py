@@ -154,6 +154,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_wreath_top_order_zero_is_invalid_input(tmp_path, capsys):
+    err_json = tmp_path / "err.json"
+    assert main(["compute", "C2 wr C0", "--no-cache", "--json", str(err_json)]) == 4
+    assert json.loads(err_json.read_text())["error"]["type"] == "BadParameter"
+    capsys.readouterr()
+
+
 def test_cli_compute_max_order_flag(tmp_path):
     # order cap applies to construction when lowered
     assert main(["compute", "S4", "--no-cache", "--max-order", "10"]) == 3
