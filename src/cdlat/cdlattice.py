@@ -34,7 +34,27 @@ def max_measure(
 ) -> int:
     """Largest measure over all subgroups of g."""
     subs = all_subgroups(g, max_subgroups=max_subgroups, max_order=max_order)
-    return max(measure(g, h) for h in subs)
+    return _maximal_measure(g, subs, (1 << g.order) - 1)[0]
+
+
+def _maximal_measure(
+    g: Group, subs: SubgroupSet, within: int
+) -> tuple[int, list[Subgroup]]:
+    """Largest |H| * |C_S(H)| over the subgroups H of S = `within` (a mask),
+    with C_S(H) = C_G(H) & S, and the subgroups attaining it in subs's
+    canonical order."""
+    best = 0
+    members: list[Subgroup] = []
+    for h in subs:
+        if h.mask & ~within:
+            continue
+        m = h.order * (centralizer(g, h).mask & within).bit_count()
+        if m > best:
+            best = m
+            members = [h]
+        elif m == best:
+            members.append(h)
+    return best, members
 
 
 @dataclass(frozen=True)
@@ -81,20 +101,12 @@ def cd_lattice(
 ) -> CDResult:
     """All subgroups of maximal measure, with Hasse cover edges, CL flags,
     normality/defect annotations and the centralizer pairing."""
+    # the caps apply to a cached result too
+    subs = all_subgroups(g, max_subgroups=max_subgroups, max_order=max_order)
     cached = g._cache.get("cd_result")
     if cached is not None:
         return cached
-    subs = all_subgroups(g, max_subgroups=max_subgroups, max_order=max_order)
-    best = 0
-    member_subs: list[Subgroup] = []
-    for h in subs:
-        m = measure(g, h)
-        if m > best:
-            best = m
-            member_subs = [h]
-        elif m == best:
-            member_subs.append(h)
-    # subs is canonically ordered, so member_subs already is
+    best, member_subs = _maximal_measure(g, subs, (1 << g.order) - 1)
     mask_index = {h.mask: i for i, h in enumerate(member_subs)}
     members = []
     for h in member_subs:
@@ -175,29 +187,15 @@ def cd_of_subgroup(g: Group, s: Subgroup) -> SubgroupCD:
     cached = cache.get(s.mask)
     if cached is not None:
         return cached
-    subs = all_subgroups(g)
-    best = 0
-    members: list[int] = []
-    for h in subs:
-        if h.mask & ~s.mask:
-            continue
-        c_in_s = centralizer(g, h).mask & s.mask
-        m = h.order * c_in_s.bit_count()
-        if m > best:
-            best = m
-            members = [h.mask]
-        elif m == best:
-            members.append(h.mask)
+    best, members = _maximal_measure(g, all_subgroups(g), s.mask)
     cl = tuple(
-        hm
-        for hm in members
-        if (centralizer(g, subs[subs.index_of(hm)]).mask & s.mask) & ~hm == 0
+        h.mask for h in members if centralizer(g, h).mask & s.mask & ~h.mask == 0
     )
     result = SubgroupCD(
         ambient=g,
         within_mask=s.mask,
         max_measure=best,
-        member_masks=tuple(members),
+        member_masks=tuple(h.mask for h in members),
         cl_masks=cl,
     )
     cache[s.mask] = result

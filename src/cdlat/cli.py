@@ -7,6 +7,7 @@ parse error, 3 cap exceeded, 4 invalid group input.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .report import (
     export_dot,
     report_json,
 )
-from .specparse import evaluate, parse_spec, spec_text
+from .specparse import cayley_paths, evaluate, parse_spec, spec_text
 from .subgroups import DEFAULT_ENUM_LIMIT, DEFAULT_SUBGROUP_CAP
 
 EXIT_OK = 0
@@ -136,36 +137,31 @@ def _cmd_compute(args) -> int:
         return _emit_error(args, exc, EXIT_PARSE)
     text = spec_text(node)
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    json_text = None
-    if not args.no_cache:
-        json_text = cache_get(cache_dir, text)
-    result = None
-    if json_text is None:
-        try:
+    key = json_text = None
+    try:
+        if not args.no_cache:
+            # key on all the output depends on: spec, Cayley file bytes, caps
+            paths = cayley_paths(node)
+            digests = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths]
+            caps = f"caps {order_cap} {enum_limit} {args.max_subgroups}"
+            key = "\n".join([text, *digests, caps])
+            json_text = cache_get(cache_dir, key)
+        if json_text is None or args.dot:
             group = evaluate(node, max_order=order_cap)
             result = cd_lattice(
                 group, max_subgroups=args.max_subgroups, max_order=enum_limit
             )
-        except _CAP_ERRORS as exc:
-            return _emit_error(args, exc, EXIT_CAP)
-        except _INVALID_ERRORS as exc:
-            return _emit_error(args, exc, EXIT_INVALID)
+    except _CAP_ERRORS as exc:
+        return _emit_error(args, exc, EXIT_CAP)
+    except _INVALID_ERRORS as exc:
+        return _emit_error(args, exc, EXIT_INVALID)
+    if json_text is None:
         json_text = report_json(build_report(text, group, result))
-        if not args.no_cache:
-            cache_put(cache_dir, text, json_text)
+        if key is not None:
+            cache_put(cache_dir, key, json_text)
     if args.json:
         _write(args.json, json_text)
     if args.dot:
-        if result is None:
-            try:
-                group = evaluate(node, max_order=order_cap)
-                result = cd_lattice(
-                    group, max_subgroups=args.max_subgroups, max_order=enum_limit
-                )
-            except _CAP_ERRORS as exc:
-                return _emit_error(args, exc, EXIT_CAP)
-            except _INVALID_ERRORS as exc:
-                return _emit_error(args, exc, EXIT_INVALID)
         _write(args.dot, export_dot(result))
     _print_compute_summary(json_text)
     return EXIT_OK

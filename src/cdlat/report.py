@@ -90,7 +90,8 @@ def export_dot(result: CDResult) -> str:
 
 
 # ---------------------------------------------------------------------------
-# result cache: one file per (spec text, engine version) hash
+# result cache: one file per (key text, engine version) hash; the CLI's key
+# text covers the spec, the bytes of its Cayley files and the caps
 
 
 def default_cache_dir() -> Path:

@@ -261,6 +261,17 @@ def _atom_text(node: GroupSpec) -> str:
     return spec_text(node)
 
 
+def cayley_paths(node: GroupSpec) -> list[str]:
+    """Paths of the spec's cayley: atoms, left to right."""
+    if isinstance(node, CayleyAtom):
+        return [node.path]
+    if isinstance(node, Product):
+        return cayley_paths(node.left) + cayley_paths(node.right)
+    if isinstance(node, Wreath):
+        return cayley_paths(node.bottom)
+    return []
+
+
 _EVAL_CACHE: dict[tuple[str, int], Group] = {}
 
 

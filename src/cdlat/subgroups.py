@@ -219,14 +219,18 @@ def all_subgroups(
     joins with cyclic subgroups (one coset representative per coset, which
     realizes the pairwise-join fixpoint) until nothing new appears.
     """
-    cached = g._cache.get("subgroup_set")
-    if cached is not None:
-        return cached
     n = g.order
     if n > max_order:
         raise EnumerationLimitExceeded(
             f"|{g.name}| = {n} exceeds enumeration limit {max_order}"
         )
+    cached = g._cache.get("subgroup_set")
+    if cached is not None:
+        if len(cached) > max_subgroups:
+            raise SubgroupCapExceeded(
+                f"more than {max_subgroups} subgroups in {g.name}"
+            )
+        return cached
     table = g.table
     # seed: trivial and all cyclic subgroups, in generator order
     found: dict[int, tuple[list[int], list[int]]] = {1: ([0], [])}

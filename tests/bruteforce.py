@@ -119,3 +119,14 @@ def brute_product_set(g: Group, amask: int, bmask: int) -> int:
         for b in right:
             mask |= 1 << g.mul(a, b)
     return mask
+
+
+def brute_is_associative(rows) -> bool:
+    """(a*b)*c == a*(b*c) on every triple of a square table, n**3 products."""
+    n = len(rows)
+    return all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )

@@ -3,6 +3,8 @@
 import pytest
 
 from cdlat import (
+    EnumerationLimitExceeded,
+    SubgroupCapExceeded,
     TooLargeForIso,
     all_subgroups,
     cd_lattice,
@@ -189,3 +191,13 @@ def test_hasse_is_transitive_reduction():
         for c, d in edges:
             if b == c:
                 assert (a, d) not in edges
+
+
+def test_cached_results_respect_the_caps():
+    g = named_group("D", 8)
+    cd_lattice(g)  # caches the subgroup set and the lattice
+    for call in (all_subgroups, cd_lattice, max_measure):
+        with pytest.raises(EnumerationLimitExceeded):
+            call(g, max_order=4)
+        with pytest.raises(SubgroupCapExceeded):
+            call(g, max_subgroups=2)

@@ -1,6 +1,7 @@
 """JSON/DOT serialization, the on-disk cache, and CLI behavior."""
 
 import json
+from pathlib import Path
 
 from cdlat import (
     build_report,
@@ -13,6 +14,7 @@ from cdlat import (
     report_json,
     run_pairs,
 )
+from cdlat import dump_cayley, specparse
 from cdlat.cli import main
 from cdlat.report import cache_path
 
@@ -168,6 +170,36 @@ def test_cli_compute_max_order_flag(tmp_path):
 
 def test_cli_missing_cayley_file(capsys):
     assert main(["compute", "cayley:/nonexistent/file.cay", "--no-cache"]) == 4
+    capsys.readouterr()
+
+
+def test_cli_cache_misses_after_cayley_file_changes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("g.cay").write_text(dump_cayley(named_group("C", 4)))
+    args = ["compute", "cayley:g.cay", "--json", "r.json", "--cache-dir", "cache"]
+    assert main(args) == 0
+    Path("g.cay").write_text(dump_cayley(named_group("S", 3)))
+    # a new process: no group built by the first run survives
+    monkeypatch.setattr(specparse, "_EVAL_CACHE", {})
+    assert main(args) == 0
+    assert json.loads(Path("r.json").read_text())["group"]["order"] == 6
+    capsys.readouterr()
+
+
+def test_cli_cache_hit_needs_the_cayley_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("g.cay").write_text(dump_cayley(named_group("C", 4)))
+    args = ["compute", "cayley:g.cay", "--cache-dir", "cache"]
+    assert main(args) == 0
+    Path("g.cay").unlink()
+    assert main(args) == 4
+    capsys.readouterr()
+
+
+def test_cli_cache_hit_respects_max_order(tmp_path, capsys):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert main(["compute", "S5", *cache]) == 0
+    assert main(["compute", "S5", "--max-order", "10", *cache]) == 3
     capsys.readouterr()
 
 
