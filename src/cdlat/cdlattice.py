@@ -14,7 +14,6 @@ from .subgroups import (
     SubgroupSet,
     all_subgroups,
     centralizer,
-    is_normal,
     subnormal_defect,
 )
 
@@ -115,13 +114,14 @@ def cd_lattice(
             raise AssertionError(
                 f"centralizer of a member is not a member in {g.name}"
             )
+        # defect 0 is G itself, 1 a proper normal subgroup, >= 2 otherwise
         defect = subnormal_defect(g, h)
         if defect is None:
             raise AssertionError(f"non-subnormal lattice member in {g.name}")
         members.append(
             CDMember(
                 subgroup=h,
-                is_normal=is_normal(g, h),
+                is_normal=defect <= 1,
                 defect=defect,
                 is_centrally_large=cent.mask & ~h.mask == 0,
                 centralizer_index=mask_index[cent.mask],

@@ -58,28 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, max_order_help):
         p.add_argument("--json", metavar="PATH", help="write a JSON report here")
-        p.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
-        p.add_argument(
-            "--max-order",
-            type=int,
-            metavar="N",
-            help="cap on constructed group order and enumeration size",
-        )
-        p.add_argument(
-            "--max-subgroups",
-            type=int,
-            default=DEFAULT_SUBGROUP_CAP,
-            metavar="N",
-            help="cap on enumerated subgroup count",
-        )
-        p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
-        p.add_argument(
-            "--cache-dir",
-            metavar="PATH",
-            help="cache directory (default: CDLAT_CACHE_DIR or ~/.cache/cdlat)",
-        )
+        p.add_argument("--max-order", type=int, metavar="N", help=max_order_help)
         p.add_argument(
             "--threads",
             type=int,
@@ -91,7 +72,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compute", help="compute the lattice of one group spec")
     pc.add_argument("spec", help='group spec, e.g. "D8 wr C2" or "corpus:g32"')
-    common(pc)
+    common(pc, "cap on constructed group order and enumeration size")
+    pc.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
+    pc.add_argument(
+        "--max-subgroups",
+        type=int,
+        default=DEFAULT_SUBGROUP_CAP,
+        metavar="N",
+        help="cap on enumerated subgroup count",
+    )
+    pc.add_argument("--no-cache", action="store_true", help="bypass the result cache")
+    pc.add_argument(
+        "--cache-dir",
+        metavar="PATH",
+        help="cache directory (default: CDLAT_CACHE_DIR or ~/.cache/cdlat)",
+    )
 
     pv = sub.add_parser("verify", help="run named checks against groups")
     pv.add_argument(
@@ -107,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='group spec or "corpus" for the default corpus (default)',
     )
     pv.add_argument("--check", dest="check_flag", metavar="ID", help="same as the positional check id")
-    common(pv)
+    common(pv, "cap on the constructed order of a named SPEC (not applied to corpus)")
     return parser
 
 

@@ -109,11 +109,14 @@ _ATOM_ORDERS = {
 }
 
 
-def universal_corpus_specs(max_group_order: int = 24) -> tuple[str, ...]:
+UNIVERSAL_MAX_ORDER = 24
+
+
+def universal_corpus_specs() -> tuple[str, ...]:
     """Spec strings for the default corpus: all named-family atoms and all
-    multisets of atoms whose direct product has order <= the bound."""
+    multisets of atoms whose direct product has order <= UNIVERSAL_MAX_ORDER."""
     atoms = sorted(
-        (name for name, o in _ATOM_ORDERS.items() if o <= max_group_order),
+        (name for name, o in _ATOM_ORDERS.items() if o <= UNIVERSAL_MAX_ORDER),
         key=lambda s: (_ATOM_ORDERS[s], s),
     )
     specs = ["C1"] + list(atoms)
@@ -125,7 +128,7 @@ def universal_corpus_specs(max_group_order: int = 24) -> tuple[str, ...]:
             if a < combo[-1]:
                 continue
             new_order = order * _ATOM_ORDERS[a]
-            if new_order > max_group_order:
+            if new_order > UNIVERSAL_MAX_ORDER:
                 continue
             new_combo = combo + (a,)
             if new_combo in seen:

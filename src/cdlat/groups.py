@@ -623,14 +623,17 @@ def _unitriangular(n: int, max_order: int) -> Group:
 # Small-order isomorphism testing (element-order-profile guided search)
 
 
-def group_isomorphic_small(a: Group, b: Group, *, cap: int = 16) -> bool:
-    """Brute-force isomorphism test for groups of order <= cap.
+ISO_ORDER_CAP = 16
+
+
+def group_isomorphic_small(a: Group, b: Group) -> bool:
+    """Brute-force isomorphism test for groups of order <= ISO_ORDER_CAP.
 
     Candidate generator images are pruned by element-order profiles; the
     induced map is then checked to be a bijective homomorphism.
     """
-    if a.order > cap or b.order > cap:
-        raise OrderCapExceeded(f"isomorphism search capped at order {cap}")
+    if a.order > ISO_ORDER_CAP or b.order > ISO_ORDER_CAP:
+        raise OrderCapExceeded(f"isomorphism search capped at order {ISO_ORDER_CAP}")
     if a.order != b.order:
         return False
     orders_a = [a.element_order(x) for x in range(a.order)]

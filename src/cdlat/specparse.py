@@ -14,6 +14,7 @@ Grammar (left-associative, whitespace optional around operators):
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,9 +23,8 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     PermutationGenSet,
-    from_cayley,
+    from_cayley_file,
     from_permutations,
-    load_cayley,
     named_group,
 )
 from .corpus import corpus_group
@@ -272,7 +272,7 @@ def cayley_paths(node: GroupSpec) -> list[str]:
     return []
 
 
-_EVAL_CACHE: dict[tuple[str, int], Group] = {}
+_EVAL_CACHE: dict[tuple, Group] = {}
 
 
 def evaluate(
@@ -281,10 +281,15 @@ def evaluate(
     """Build the group a spec describes.
 
     Evaluation is deterministic, and results are cached per canonical
-    text so repeated runs share enumeration work.
+    text, order cap and the (size, mtime) of each Cayley file, so repeated
+    runs share enumeration work and an edited file is read again.  A
+    missing Cayley file raises OSError.
     """
     node = parse_spec(spec) if isinstance(spec, str) else spec
     key = (spec_text(node), max_order)
+    paths = cayley_paths(node)
+    if paths:
+        key += tuple((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths))
     group = _EVAL_CACHE.get(key)
     if group is None:
         group = _evaluate(node, max_order)
@@ -304,9 +309,7 @@ def _evaluate(node: GroupSpec, max_order: int) -> Group:
         pgs = PermutationGenSet.from_cycles(cycles)
         return from_permutations(pgs, max_order=max_order, name=spec_text(node))
     if isinstance(node, CayleyAtom):
-        with open(node.path, "r", encoding="utf-8") as fh:
-            table = load_cayley(fh.read())
-        return from_cayley(table, name=node.path)
+        return from_cayley_file(node.path)
     if isinstance(node, Product):
         # children go through the cache so factor groups are shared with
         # their standalone evaluations (enumeration reuse, identity checks)

@@ -4,7 +4,7 @@ defect."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import EnumerationLimitExceeded, SubgroupCapExceeded
@@ -89,11 +89,6 @@ class SubgroupSet:
 
     ambient: Group
     subgroups: tuple[Subgroup, ...]
-    by_mask: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        for i, sub in enumerate(self.subgroups):
-            self.by_mask[sub.mask] = i
 
     def __iter__(self) -> Iterator[Subgroup]:
         return iter(self.subgroups)
@@ -103,13 +98,6 @@ class SubgroupSet:
 
     def __getitem__(self, i: int) -> Subgroup:
         return self.subgroups[i]
-
-    def index_of(self, mask: int) -> int:
-        return self.by_mask[mask]
-
-    def get(self, mask: int) -> Subgroup | None:
-        i = self.by_mask.get(mask)
-        return None if i is None else self.subgroups[i]
 
 
 def trivial_subgroup(g: Group) -> Subgroup:
@@ -282,26 +270,29 @@ def all_subgroups(
 # Centralizers and normal structure
 
 
-def centralizer(g: Group, h: Subgroup) -> Subgroup:
-    """Elements of g commuting with every element of h.
+def _element_centralizer(g: Group, s: int) -> int:
+    """Bitmask of C_G(s), formed once per element and kept on the group."""
+    cache = g._cache.setdefault("element_centralizers", {})
+    mask = cache.get(s)
+    if mask is None:
+        table = g.table
+        row_s = table[s]
+        mask = 0
+        for x in range(g.order):
+            if table[x][s] == row_s[x]:
+                mask |= 1 << x
+        cache[s] = mask
+    return mask
 
-    Filters against a generating set of h: commuting with the generators
-    implies commuting with all products.
-    """
-    cache = g._cache.setdefault("centralizers", {})
-    cached = cache.get(h.mask)
-    if cached is not None:
-        return cached
-    table = g.table
-    gen_rows = [(s, table[s]) for s in h.generators()]
-    mask = 0
-    for x in range(g.order):
-        row_x = table[x]
-        if all(row_x[s] == row_s[x] for s, row_s in gen_rows):
-            mask |= 1 << x
-    result = Subgroup(g, mask)
-    cache[h.mask] = result
-    return result
+
+def centralizer(g: Group, h: Subgroup) -> Subgroup:
+    """Elements of g commuting with every element of h: the intersection
+    of C_G(s) over a generating set of h, since commuting with the
+    generators implies commuting with all products."""
+    mask = (1 << g.order) - 1
+    for s in h.generators():
+        mask &= _element_centralizer(g, s)
+    return Subgroup(g, mask)
 
 
 def center(g: Group) -> Subgroup:
@@ -310,10 +301,6 @@ def center(g: Group) -> Subgroup:
 
 def normalizer(g: Group, h: Subgroup) -> Subgroup:
     """Elements x with h^x = h."""
-    cache = g._cache.setdefault("normalizers", {})
-    cached = cache.get(h.mask)
-    if cached is not None:
-        return cached
     gens = h.generators()
     mul = g.mul
     hmask = h.mask
@@ -322,9 +309,7 @@ def normalizer(g: Group, h: Subgroup) -> Subgroup:
         xi = g.inv(x)
         if all(hmask >> mul(mul(xi, s), x) & 1 for s in gens):
             mask |= 1 << x
-    result = Subgroup(g, mask)
-    cache[h.mask] = result
-    return result
+    return Subgroup(g, mask)
 
 
 def is_normal(g: Group, h: Subgroup) -> bool:

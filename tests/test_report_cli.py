@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from cdlat import (
     build_report,
     build_verify_report,
@@ -14,7 +16,7 @@ from cdlat import (
     report_json,
     run_pairs,
 )
-from cdlat import dump_cayley, specparse
+from cdlat import dump_cayley
 from cdlat.cli import main
 from cdlat.report import cache_path
 
@@ -179,8 +181,6 @@ def test_cli_cache_misses_after_cayley_file_changes(tmp_path, monkeypatch, capsy
     args = ["compute", "cayley:g.cay", "--json", "r.json", "--cache-dir", "cache"]
     assert main(args) == 0
     Path("g.cay").write_text(dump_cayley(named_group("S", 3)))
-    # a new process: no group built by the first run survives
-    monkeypatch.setattr(specparse, "_EVAL_CACHE", {})
     assert main(args) == 0
     assert json.loads(Path("r.json").read_text())["group"]["order"] == 6
     capsys.readouterr()
@@ -218,10 +218,24 @@ def test_cli_verify_exit_one_on_failed_check(monkeypatch, capsys):
 
 
 def test_cli_verify_single_check(capsys):
-    assert main(["verify", "cd-sublattice", "Q8", "--no-cache"]) == 0
+    assert main(["verify", "cd-sublattice", "Q8"]) == 0
     out = capsys.readouterr().out
     assert "PASS  cd-sublattice  [Q8]" in out
     assert "checks: 1 passed, 0 skipped, 0 failed" in out
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--dot", "x.dot"], ["--no-cache"], ["--cache-dir", "c"], ["--max-subgroups", "1"]],
+    ids=["dot", "no-cache", "cache-dir", "max-subgroups"],
+)
+def test_cli_verify_rejects_compute_only_flags(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "D8", *flag])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    capsys.readouterr()
 
 
 def test_cli_verify_all_on_one_spec(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlat import ParseError, parse_spec, spec_text
+from cdlat import ParseError, dump_cayley, named_group, parse_spec, spec_text
 from cdlat.specparse import (
     CayleyAtom,
     CorpusAtom,
@@ -153,3 +153,15 @@ def test_evaluate_cayley_file(tmp_path):
     path.write_text("4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
     g = evaluate(f"cayley:{path}")
     assert g.order == 4 and g.is_abelian()
+
+
+def test_evaluate_rereads_an_edited_or_deleted_cayley_file(tmp_path):
+    path = tmp_path / "g.cay"
+    spec = f"cayley:{path}"
+    path.write_text(dump_cayley(named_group("C", 4)))
+    assert evaluate(spec).order == 4
+    path.write_text(dump_cayley(named_group("S", 3)))
+    assert evaluate(spec).order == 6
+    path.unlink()
+    with pytest.raises(OSError):
+        evaluate(spec)

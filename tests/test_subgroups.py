@@ -8,6 +8,7 @@ from cdlat import (
     Subgroup,
     SubgroupCapExceeded,
     all_subgroups,
+    cd_lattice,
     center,
     centralizer,
     closure,
@@ -21,7 +22,13 @@ from cdlat import (
     subnormal_defect,
     trivial_subgroup,
 )
-from cdlat.corpus import G32_GENS, corpus_group
+from cdlat.corpus import (
+    ENUMERABLE_WREATH_SPECS,
+    G32_GENS,
+    corpus_group,
+    universal_corpus_specs,
+)
+from cdlat.specparse import evaluate
 
 from bruteforce import (
     brute_center_mask,
@@ -114,10 +121,27 @@ def test_subgroup_constructor_guards():
         Subgroup(g, 0b11111)  # order 5 does not divide 24 (Lagrange)
 
 
+ORACLE_SPECS = universal_corpus_specs() + ("corpus:g32",) + ENUMERABLE_WREATH_SPECS
+
+
 def test_centralizer_matches_brute_force():
-    for g in (s4(), named_group("D", 12), corpus_group("g32")):
+    for spec in ORACLE_SPECS:
+        g = evaluate(spec)
         for h in all_subgroups(g):
-            assert centralizer(g, h).mask == brute_centralizer_mask(g, h.mask)
+            cent = centralizer(g, h)
+            assert cent.mask == brute_centralizer_mask(g, h.mask), (spec, h.mask)
+            # a centralizer carries no recorded generators of its own
+            assert centralizer(g, cent).mask == brute_centralizer_mask(g, cent.mask)
+
+
+def test_member_normality_matches_brute_force():
+    # cd_lattice reads normality off the subnormal defect (<= 1)
+    for spec in ORACLE_SPECS:
+        g = evaluate(spec)
+        full = (1 << g.order) - 1
+        for m in cd_lattice(g).members:
+            normal = brute_normalizer_mask(g, m.subgroup.mask) == full
+            assert m.is_normal == normal, (spec, m.subgroup.mask)
 
 
 def test_centralizer_of_trivial_and_full():
