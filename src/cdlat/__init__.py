@@ -68,7 +68,6 @@ from .report import (
 from .specparse import evaluate, parse_spec, spec_text
 from .subgroups import (
     Subgroup,
-    SubgroupSet,
     all_subgroups,
     center,
     centralizer,

@@ -11,7 +11,6 @@ from .subgroups import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_SUBGROUP_CAP,
     Subgroup,
-    SubgroupSet,
     all_subgroups,
     centralizer,
     subnormal_defect,
@@ -37,7 +36,7 @@ def max_measure(
 
 
 def _maximal_measure(
-    g: Group, subs: SubgroupSet, within: int
+    g: Group, subs: tuple[Subgroup, ...], within: int
 ) -> tuple[int, list[Subgroup]]:
     """Largest |H| * |C_S(H)| over the subgroups H of S = `within` (a mask),
     with C_S(H) = C_G(H) & S, and the subgroups attaining it in subs's
@@ -78,9 +77,6 @@ class CDResult:
 
     def member_masks(self) -> list[int]:
         return [m.subgroup.mask for m in self.members]
-
-    def subgroup_set(self) -> SubgroupSet:
-        return SubgroupSet(self.group, tuple(m.subgroup for m in self.members))
 
     def cl_masks(self) -> list[int]:
         return [m.subgroup.mask for m in self.members if m.is_centrally_large]
@@ -157,13 +153,10 @@ def cl_subgroups(
     *,
     max_subgroups: int = DEFAULT_SUBGROUP_CAP,
     max_order: int = DEFAULT_ENUM_LIMIT,
-) -> SubgroupSet:
+) -> tuple[Subgroup, ...]:
     """Members U of the lattice with Z(U) = C_G(U)."""
     result = cd_lattice(g, max_subgroups=max_subgroups, max_order=max_order)
-    return SubgroupSet(
-        g,
-        tuple(m.subgroup for m in result.members if m.is_centrally_large),
-    )
+    return tuple(m.subgroup for m in result.members if m.is_centrally_large)
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,6 @@ class SubgroupCD:
     """Lattice of a subgroup S <= G computed inside G's enumeration."""
 
     ambient: Group
-    within_mask: int
     max_measure: int
     member_masks: tuple[int, ...]
     cl_masks: tuple[int, ...]
@@ -193,7 +185,6 @@ def cd_of_subgroup(g: Group, s: Subgroup) -> SubgroupCD:
     )
     result = SubgroupCD(
         ambient=g,
-        within_mask=s.mask,
         max_measure=best,
         member_masks=tuple(h.mask for h in members),
         cl_masks=cl,

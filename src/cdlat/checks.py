@@ -19,7 +19,7 @@ from .corpus import (
     universal_corpus_specs,
     ut52_abelian_subgroup,
 )
-from .groups import Group
+from .groups import DEFAULT_ORDER_CAP, Group
 from .products import (
     DirectProductMeta,
     WreathMeta,
@@ -526,10 +526,9 @@ def _check_measure_lemmas(g: Group):
         if meas[h.mask] == meas[c.mask] and cents[c.mask].mask != h.mask:
             return _failed("equal measures but H != C(C(H))", [h, c])
     pairs = 0
-    items = subs.subgroups
-    for i, h in enumerate(items):
+    for i, h in enumerate(subs):
         ch = cents[h.mask]
-        for k in items[i:]:
+        for k in subs[i:]:
             pairs += 1
             inter_mask = h.mask & k.mask
             join = join_subgroups(h, k)
@@ -684,8 +683,13 @@ def check_ids() -> tuple[str, ...]:
     return tuple(c.check_id for c in CHECKS)
 
 
-def run_check(check_id: str, spec: str | GroupSpec | Group) -> Verdict:
-    """Run one named check against one group spec."""
+def run_check(
+    check_id: str,
+    spec: str | GroupSpec | Group,
+    max_order: int = DEFAULT_ORDER_CAP,
+) -> Verdict:
+    """Run one named check against one group spec, built under the order
+    cap `max_order`."""
     check = CHECKS_BY_ID.get(check_id)
     if check is None:
         known = ", ".join(check_ids())
@@ -696,7 +700,7 @@ def run_check(check_id: str, spec: str | GroupSpec | Group) -> Verdict:
     else:
         node = parse_spec(spec) if isinstance(spec, str) else spec
         text = spec_text(node)
-        group = evaluate(node)
+        group = evaluate(node, max_order=max_order)
     start = time.perf_counter()
     try:
         status, witness, stats = check.fn(group)
@@ -724,6 +728,7 @@ def default_pairs(check_id: str | None = None) -> list[tuple[str, str]]:
     return pairs
 
 
-def run_pairs(pairs) -> list[Verdict]:
-    """Run (check_id, spec) pairs in order."""
-    return [run_check(cid, spec) for cid, spec in pairs]
+def run_pairs(pairs, max_order: int = DEFAULT_ORDER_CAP) -> list[Verdict]:
+    """Run (check_id, spec) pairs in order, each group built under the
+    order cap `max_order`."""
+    return [run_check(cid, spec, max_order) for cid, spec in pairs]

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='group spec or "corpus" for the default corpus (default)',
     )
     pv.add_argument("--check", dest="check_flag", metavar="ID", help="same as the positional check id")
-    common(pv, "cap on the constructed order of a named SPEC (not applied to corpus)")
+    common(pv, "cap on the order of every group spec verify builds, corpus included")
     return parser
 
 
@@ -194,12 +194,10 @@ def _cmd_verify(args) -> int:
         if args.target == "corpus":
             pairs = default_pairs(None if check == "all" else check)
         else:
-            node = parse_spec(args.target)
-            text = spec_text(node)
-            evaluate(node, max_order=order_cap)  # surface construction errors early
+            text = spec_text(parse_spec(args.target))
             ids = check_ids() if check == "all" else (check,)
             pairs = [(cid, text) for cid in ids]
-        verdicts = run_pairs(pairs)
+        verdicts = run_pairs(pairs, order_cap)
     except ParseError as exc:
         return _emit_error(args, exc, EXIT_PARSE)
     except _CAP_ERRORS as exc:

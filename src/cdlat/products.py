@@ -128,10 +128,6 @@ class WreathMeta:
     top_order: int
 
     @property
-    def slots(self) -> tuple[int, ...]:
-        return tuple(range(self.top_order))
-
-    @property
     def sigma(self) -> int:
         return 1
 

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParseError
+from .errors import OrderCapExceeded, ParseError
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
@@ -272,7 +272,8 @@ def cayley_paths(node: GroupSpec) -> list[str]:
     return []
 
 
-_EVAL_CACHE: dict[tuple, Group] = {}
+# (canonical text, order cap) -> ((size, mtime) of each Cayley file, group)
+_EVAL_CACHE: dict[tuple[str, int], tuple[tuple, Group]] = {}
 
 
 def evaluate(
@@ -281,19 +282,24 @@ def evaluate(
     """Build the group a spec describes.
 
     Evaluation is deterministic, and results are cached per canonical
-    text, order cap and the (size, mtime) of each Cayley file, so repeated
-    runs share enumeration work and an edited file is read again.  A
+    text and order cap, so repeated runs share enumeration work.  An entry
+    also records the (size, mtime) of each Cayley file; when they change
+    the file is read again and the new group replaces the entry.  A
     missing Cayley file raises OSError.
     """
     node = parse_spec(spec) if isinstance(spec, str) else spec
     key = (spec_text(node), max_order)
     paths = cayley_paths(node)
-    if paths:
-        key += tuple((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths))
-    group = _EVAL_CACHE.get(key)
-    if group is None:
-        group = _evaluate(node, max_order)
-        _EVAL_CACHE[key] = group
+    stamps = (
+        tuple((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths))
+        if paths
+        else ()
+    )
+    entry = _EVAL_CACHE.get(key)
+    if entry is not None and entry[0] == stamps:
+        return entry[1]
+    group = _evaluate(node, max_order)
+    _EVAL_CACHE[key] = (stamps, group)
     return group
 
 
@@ -303,13 +309,13 @@ def _evaluate(node: GroupSpec, max_order: int) -> Group:
     if isinstance(node, UTAtom):
         return named_group("UT", node.n, max_order=max_order)
     if isinstance(node, CorpusAtom):
-        return corpus_group(node.name)
+        return _capped(node, corpus_group(node.name), max_order)
     if isinstance(node, PermAtom):
         cycles = [list(g) for g in node.generators]
         pgs = PermutationGenSet.from_cycles(cycles)
         return from_permutations(pgs, max_order=max_order, name=spec_text(node))
     if isinstance(node, CayleyAtom):
-        return from_cayley_file(node.path)
+        return _capped(node, from_cayley_file(node.path), max_order)
     if isinstance(node, Product):
         # children go through the cache so factor groups are shared with
         # their standalone evaluations (enumeration reuse, identity checks)
@@ -320,3 +326,12 @@ def _evaluate(node: GroupSpec, max_order: int) -> Group:
         bottom = evaluate(node.bottom, max_order=max_order)
         return wreath_cyclic(bottom, node.top, max_order=max_order)
     raise TypeError(f"not a GroupSpec: {node!r}")
+
+
+def _capped(node: GroupSpec, group: Group, max_order: int) -> Group:
+    # fixtures and Cayley files have a fixed order, known once built
+    if group.order > max_order:
+        raise OrderCapExceeded(
+            f"{spec_text(node)} has order {group.order} > cap {max_order}"
+        )
+    return group

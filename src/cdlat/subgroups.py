@@ -4,8 +4,7 @@ defect."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EnumerationLimitExceeded, SubgroupCapExceeded
 from .groups import Group
@@ -83,23 +82,6 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.ambient.name})"
 
 
-@dataclass(frozen=True)
-class SubgroupSet:
-    """All subgroups of a group in canonical order."""
-
-    ambient: Group
-    subgroups: tuple[Subgroup, ...]
-
-    def __iter__(self) -> Iterator[Subgroup]:
-        return iter(self.subgroups)
-
-    def __len__(self) -> int:
-        return len(self.subgroups)
-
-    def __getitem__(self, i: int) -> Subgroup:
-        return self.subgroups[i]
-
-
 def trivial_subgroup(g: Group) -> Subgroup:
     return Subgroup(g, 1, gens=())
 
@@ -113,16 +95,14 @@ def full_subgroup(g: Group) -> Subgroup:
     return cached
 
 
-def _extend(table, mask: int, elems: list[int], gens: list[int], g: int):
-    """Dimino step: close subgroup (mask, elems, gens) with one new
-    generator g, reading products from the group's table.  Returns the new
-    (mask, elems); elems keeps discovery order and starts with a copy of
-    the input's."""
+def _extend(table, mask: int, elems: list[int], gens: list[int], g: int) -> int:
+    """Dimino step: close the subgroup H = (mask, gens) with one new
+    generator g, reading products from the group's table.  `elems` lists
+    H's elements and is only read.  Returns the mask of <H, g>, a union of
+    right cosets H*r."""
     if mask >> g & 1:
-        return mask, elems
+        return mask
     all_gens = gens + [g]
-    base = list(elems)
-    out = list(elems)
     reps = [g]
     qi = 0
     while qi < len(reps):
@@ -130,29 +110,25 @@ def _extend(table, mask: int, elems: list[int], gens: list[int], g: int):
         qi += 1
         if mask >> r & 1:
             continue
-        for h in base:
-            t = table[h][r]
-            if not mask >> t & 1:
-                mask |= 1 << t
-                out.append(t)
+        for h in elems:
+            mask |= 1 << table[h][r]
         row_r = table[r]
         for s in all_gens:
             t = row_r[s]
             if not mask >> t & 1:
                 reps.append(t)
-    return mask, out
+    return mask
 
 
 def closure(g: Group, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of g containing the seed indices."""
     mask = 1
-    elems = [0]
     gens: list[int] = []
     for x in sorted(set(seed)):
         if not 0 <= x < g.order:
             raise ValueError(f"seed index {x} outside 0..{g.order - 1}")
         if not mask >> x & 1:
-            mask, elems = _extend(g.table, mask, elems, gens, x)
+            mask = _extend(g.table, mask, bits_of(mask), gens, x)
             gens.append(x)
     return Subgroup(g, mask, gens=tuple(gens))
 
@@ -163,11 +139,10 @@ def join_subgroups(h: Subgroup, k: Subgroup) -> Subgroup:
     if k.ambient is not g:
         raise ValueError("subgroups live in different ambient groups")
     mask = h.mask
-    elems = bits_of(mask)
     gens = list(h.generators())
     for s in k.generators():
         if not mask >> s & 1:
-            mask, elems = _extend(g.table, mask, elems, gens, s)
+            mask = _extend(g.table, mask, bits_of(mask), gens, s)
             gens.append(s)
     return Subgroup(g, mask, gens=tuple(gens))
 
@@ -185,12 +160,11 @@ def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:
 
 def _greedy_generators(g: Group, mask: int) -> tuple[int, ...]:
     cur = 1
-    elems = [0]
     gens: list[int] = []
-    rest = mask & ~1
     while cur != mask:
-        x = (rest & ~cur & -(rest & ~cur)).bit_length() - 1
-        cur, elems = _extend(g.table, cur, elems, gens, x)
+        left = mask & ~cur
+        x = (left & -left).bit_length() - 1
+        cur = _extend(g.table, cur, bits_of(cur), gens, x)
         gens.append(x)
     return tuple(gens)
 
@@ -200,7 +174,7 @@ def all_subgroups(
     *,
     max_subgroups: int = DEFAULT_SUBGROUP_CAP,
     max_order: int = DEFAULT_ENUM_LIMIT,
-) -> SubgroupSet:
+) -> tuple[Subgroup, ...]:
     """Every subgroup of g, exactly once, canonically ordered.
 
     Seeds with all cyclic subgroups, then closes the collection under
@@ -212,7 +186,7 @@ def all_subgroups(
         raise EnumerationLimitExceeded(
             f"|{g.name}| = {n} exceeds enumeration limit {max_order}"
         )
-    cached = g._cache.get("subgroup_set")
+    cached = g._cache.get("subgroups")
     if cached is not None:
         if len(cached) > max_subgroups:
             raise SubgroupCapExceeded(
@@ -221,18 +195,18 @@ def all_subgroups(
         return cached
     table = g.table
     # seed: trivial and all cyclic subgroups, in generator order
-    found: dict[int, tuple[list[int], list[int]]] = {1: ([0], [])}
+    # found maps each mask to the generators it was discovered by, which
+    # reports print, so the traversal order is part of the output
+    found: dict[int, list[int]] = {1: []}
     worklist = [1]
     for x in range(1, n):
         mask = 1
-        elems = [0]
         y = x
         while y != 0:
             mask |= 1 << y
-            elems.append(y)
             y = table[y][x]
         if mask not in found:
-            found[mask] = (elems, [x])
+            found[mask] = [x]
             worklist.append(mask)
     full_mask = (1 << n) - 1
     wi = 0
@@ -241,28 +215,26 @@ def all_subgroups(
         wi += 1
         if kmask == full_mask:
             continue
-        elems, gens = found[kmask]
+        gens = found[kmask]
+        elems = bits_of(kmask)
         covered = kmask
         for x in range(1, n):
             if covered >> x & 1:
                 continue
             for h in elems:
                 covered |= 1 << table[h][x]
-            new_mask, new_elems = _extend(table, kmask, elems, gens, x)
+            new_mask = _extend(table, kmask, elems, gens, x)
             if new_mask not in found:
-                found[new_mask] = (new_elems, gens + [x])
+                found[new_mask] = gens + [x]
                 worklist.append(new_mask)
                 if len(found) > max_subgroups:
                     raise SubgroupCapExceeded(
                         f"more than {max_subgroups} subgroups in {g.name}"
                     )
-    subs = [
-        Subgroup(g, mask, gens=tuple(gens))
-        for mask, (elems, gens) in found.items()
-    ]
+    subs = [Subgroup(g, mask, gens=tuple(gens)) for mask, gens in found.items()]
     subs.sort(key=Subgroup.key)
-    result = SubgroupSet(g, tuple(subs))
-    g._cache["subgroup_set"] = result
+    result = tuple(subs)
+    g._cache["subgroups"] = result
     return result
 
 
@@ -333,22 +305,21 @@ def normal_closure(big: Subgroup, small: Subgroup) -> Subgroup:
         raise ValueError("subgroups live in different ambient groups")
     if small.mask & ~big.mask:
         raise ValueError("normal_closure needs small <= big")
-    mul = g.mul
+    table = g.table
     mask = small.mask
-    elems = bits_of(mask)
     gens = list(small.generators())
-    kgens = big.generators()
-    kinvs = [g.inv(k) for k in kgens]
-    changed = True
-    while changed:
-        changed = False
-        for k, ki in zip(kgens, kinvs):
-            for s in list(gens):
-                c = mul(mul(ki, s), k)
-                if not mask >> c & 1:
-                    mask, elems = _extend(g.table, mask, elems, gens, c)
-                    gens.append(c)
-                    changed = True
+    kgens = [(k, g.inv(k)) for k in big.generators()]
+    # the mask only grows, so each generator is conjugated by each of
+    # big's generators once; a conjugate outside the mask joins gens
+    gi = 0
+    while gi < len(gens):
+        row_s = table[gens[gi]]
+        gi += 1
+        for k, ki in kgens:
+            c = table[ki][row_s[k]]
+            if not mask >> c & 1:
+                mask = _extend(table, mask, bits_of(mask), gens, c)
+                gens.append(c)
     return Subgroup(g, mask, gens=tuple(gens))
 
 

@@ -53,9 +53,8 @@ def assert_subgroup_engine_invariants(g: Group) -> None:
         defect = subnormal_defect(g, h)
         shallow = n.order == g.order or h.mask == full.mask
         assert (defect is not None and defect <= 1) == shallow
-    items = subs.subgroups
-    for i, h in enumerate(items):
-        for k in items[i + 1 :]:
+    for i, h in enumerate(subs):
+        for k in subs[i + 1 :]:
             assert h.mask & k.mask in masks, "intersection missing"
             assert join_subgroups(h, k).mask in masks, "join missing"
 
@@ -90,10 +89,9 @@ def assert_measure_lemma_invariants(g: Group) -> None:
         # abelian self-centralized subgroups square their order
         if c.mask == h.mask:
             assert meas[h.mask] == h.order**2
-    items = subs.subgroups
-    for i, h in enumerate(items):
+    for i, h in enumerate(subs):
         ch = cents[h.mask]
-        for k in items[i:]:
+        for k in subs[i:]:
             inter = h.mask & k.mask
             join = join_subgroups(h, k)
             lhs = meas[h.mask] * meas[k.mask]

@@ -107,7 +107,8 @@ def test_reports_do_not_depend_on_warm_caches():
     from cdlat.specparse import _EVAL_CACHE
 
     key = next(k for k in list(_EVAL_CACHE) if k[0] == "D8")
-    warm = cd_lattice(_EVAL_CACHE[key])
+    _, cached = _EVAL_CACHE[key]  # (Cayley file stamps, group)
+    warm = cd_lattice(cached)
     cold = cd_lattice(named_group("D", 8))
     assert [m.subgroup.elements() for m in warm.members] == [
         m.subgroup.elements() for m in cold.members

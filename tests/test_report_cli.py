@@ -203,6 +203,27 @@ def test_cli_cache_hit_respects_max_order(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_max_order_raises_the_cap(capsys):
+    # S8 (order 40320) is past the default cap of 20000
+    assert main(["verify", "sym-cd", "S8", "--max-order", "50000"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_verify_max_order_caps_the_corpus(capsys):
+    # sym-cd runs on S4 and S5 (order 120)
+    assert main(["verify", "sym-cd", "corpus", "--max-order", "100"]) == 3
+    assert "S5 has order 120 > cap 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["corpus:ut52", "cayley:g.cay"])
+def test_cli_fixed_order_atoms_obey_max_order(spec, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("g.cay").write_text(dump_cayley(named_group("S", 3)))
+    assert main(["verify", "sym-cd", spec, "--max-order", "5"]) == 3
+    assert main(["compute", spec, "--no-cache", "--max-order", "5"]) == 3
+    assert "> cap 5" in capsys.readouterr().err
+
+
 def test_cli_verify_exit_one_on_failed_check(monkeypatch, capsys):
     from cdlat import checks
     from cdlat.checks import CheckDef

@@ -4,8 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlat import ParseError, dump_cayley, named_group, parse_spec, spec_text
+from cdlat import (
+    OrderCapExceeded,
+    ParseError,
+    dump_cayley,
+    named_group,
+    parse_spec,
+    spec_text,
+)
+from cdlat.groups import DEFAULT_ORDER_CAP
 from cdlat.specparse import (
+    _EVAL_CACHE,
     CayleyAtom,
     CorpusAtom,
     FamilyAtom,
@@ -165,3 +174,24 @@ def test_evaluate_rereads_an_edited_or_deleted_cayley_file(tmp_path):
     path.unlink()
     with pytest.raises(OSError):
         evaluate(spec)
+
+
+def test_evaluate_keeps_one_entry_per_spec_and_cap(tmp_path):
+    path = tmp_path / "g.cay"
+    spec = f"cayley:{path}"
+    for family, param in (("C", 4), ("S", 3), ("C", 8)):
+        group = named_group(family, param)
+        path.write_text(dump_cayley(group))
+        assert evaluate(spec).order == group.order
+    # each rewrite replaced the entry instead of adding one
+    assert [key for key in _EVAL_CACHE if key[0] == spec] == [(spec, DEFAULT_ORDER_CAP)]
+
+
+def test_evaluate_caps_fixture_and_cayley_orders(tmp_path):
+    path = tmp_path / "s3.cay"
+    path.write_text(dump_cayley(named_group("S", 3)))
+    with pytest.raises(OrderCapExceeded, match=r"^corpus:ut52 has order 1024 > cap 10$"):
+        evaluate("corpus:ut52", max_order=10)
+    with pytest.raises(OrderCapExceeded, match=r"has order 6 > cap 5$"):
+        evaluate(f"cayley:{path}", max_order=5)
+    assert evaluate(f"cayley:{path}", max_order=6).order == 6

@@ -239,3 +239,52 @@ def test_join_and_conjugate():
     h = closure(g, [perm_index(g, [(1, 2)])])
     cj = conjugate_subgroup(g, h, perm_index(g, [(1, 3)]))
     assert cj.order == 2 and cj.mask != h.mask
+
+
+def pair_oracle_groups():
+    """Groups small enough to check every pair of subgroups against the
+    naive closures; g32 adds a defect-2 subgroup."""
+    groups = [evaluate(s) for s in universal_corpus_specs()]
+    return [g for g in groups if g.order <= 16] + [evaluate("corpus:g32")]
+
+
+def test_normal_closure_matches_brute_force_for_every_pair():
+    pairs = 0
+    for g in pair_oracle_groups():
+        subs = all_subgroups(g)
+        for k in subs:
+            for h in subs:
+                if h.mask & ~k.mask:
+                    continue
+                pairs += 1
+                want = brute_normal_closure_mask(g, k.mask, h.mask)
+                assert normal_closure(k, h).mask == want, (g.name, k.mask, h.mask)
+    assert pairs == 3577
+
+
+def test_join_matches_brute_force_for_every_pair():
+    pairs = 0
+    for g in pair_oracle_groups():
+        subs = all_subgroups(g)
+        for h in subs:
+            for k in subs:
+                pairs += 1
+                want = brute_closure_mask(g, h.elements() + k.elements())
+                assert join_subgroups(h, k).mask == want, (g.name, h.mask, k.mask)
+    assert pairs == 22325
+
+
+def test_subnormal_defect_matches_brute_force_chain():
+    for g in pair_oracle_groups():
+        full = (1 << g.order) - 1
+        for h in all_subgroups(g):
+            # K_0 = G, K_{i+1} = <h^{K_i}>, until h or a fixed point
+            current, depth = full, 0
+            while current != h.mask:
+                nxt = brute_normal_closure_mask(g, current, h.mask)
+                depth += 1
+                if nxt == current:
+                    depth = None
+                    break
+                current = nxt
+            assert subnormal_defect(g, h) == depth, (g.name, h.mask)
