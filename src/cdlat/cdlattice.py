@@ -1,18 +1,23 @@
 """The measure |H| * |C_G(H)|, its maximum over all subgroups, the
-sublattice of subgroups attaining it, and the centrally large subset."""
+sublattice of subgroups attaining it, and the centrally large subset.
+
+The maximum is found among centralizers (the intersection-closure of the
+element centralizers), so no subgroup enumeration is needed."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TooLargeForIso
+from .errors import EnumerationLimitExceeded, SubgroupCapExceeded, TooLargeForIso
 from .groups import Group
 from .subgroups import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_SUBGROUP_CAP,
     Subgroup,
-    all_subgroups,
+    bits_of,
     centralizer,
+    element_centralizer,
+    replay_subgroups,
     subnormal_defect,
 )
 
@@ -31,28 +36,43 @@ def max_measure(
     max_order: int = DEFAULT_ENUM_LIMIT,
 ) -> int:
     """Largest measure over all subgroups of g."""
-    subs = all_subgroups(g, max_subgroups=max_subgroups, max_order=max_order)
-    return _maximal_measure(g, subs, (1 << g.order) - 1)[0]
+    return cd_lattice(g, max_subgroups=max_subgroups, max_order=max_order).max_measure
 
 
-def _maximal_measure(
-    g: Group, subs: tuple[Subgroup, ...], within: int
-) -> tuple[int, list[Subgroup]]:
-    """Largest |H| * |C_S(H)| over the subgroups H of S = `within` (a mask),
-    with C_S(H) = C_G(H) & S, and the subgroups attaining it in subs's
-    canonical order."""
+def _maximal_centralizers(g: Group, within: int) -> tuple[int, list[tuple[int, int]]]:
+    """Largest |H| * |C_S(H)| over the subgroups H of S = `within` (a
+    mask), and the (H, C_S(H)) mask pairs attaining it, canonically ordered.
+
+    Every H has m(H) <= m(C_S(C_S(H))), with equality only if H is that
+    double centralizer, so the maximum is attained exactly on centralizers
+    in S: the intersections of the C_S(x) = C_G(x) & S, x in S, with S
+    itself as the empty intersection.
+    """
+    # elements of S by their centralizer in S: y is in C_S(M) exactly
+    # when M <= C_S(y), so C_S(M) is the union of the classes above M
+    classes: dict[int, int] = {}
+    for y in bits_of(within):
+        c = element_centralizer(g, y) & within
+        classes[c] = classes.get(c, 0) | 1 << y
+    closed = {within}
+    for c in classes:
+        if c not in closed:
+            closed |= {m & c for m in closed}
     best = 0
-    members: list[Subgroup] = []
-    for h in subs:
-        if h.mask & ~within:
-            continue
-        m = h.order * (centralizer(g, h).mask & within).bit_count()
-        if m > best:
-            best = m
-            members = [h]
-        elif m == best:
-            members.append(h)
-    return best, members
+    pairs: list[tuple[int, int]] = []
+    for m in closed:
+        cent = 0
+        for c, ys in classes.items():
+            if m & ~c == 0:
+                cent |= ys
+        value = m.bit_count() * cent.bit_count()
+        if value > best:
+            best = value
+            pairs = [(m, cent)]
+        elif value == best:
+            pairs.append((m, cent))
+    pairs.sort(key=lambda p: (p[0].bit_count(), bits_of(p[0])))
+    return best, pairs
 
 
 @dataclass(frozen=True)
@@ -95,18 +115,37 @@ def cd_lattice(
     max_order: int = DEFAULT_ENUM_LIMIT,
 ) -> CDResult:
     """All subgroups of maximal measure, with Hasse cover edges, CL flags,
-    normality/defect annotations and the centralizer pairing."""
+    normality/defect annotations and the centralizer pairing.
+
+    Members come from the centralizer closure; their generators are the
+    ones all_subgroups records, replayed inside the top member.
+    max_subgroups caps the subgroups that replay discovers.
+    """
+    if g.order > max_order:
+        raise EnumerationLimitExceeded(
+            f"|{g.name}| = {g.order} exceeds enumeration limit {max_order}"
+        )
     # the caps apply to a cached result too
-    subs = all_subgroups(g, max_subgroups=max_subgroups, max_order=max_order)
     cached = g._cache.get("cd_result")
     if cached is not None:
-        return cached
-    best, member_subs = _maximal_measure(g, subs, (1 << g.order) - 1)
-    mask_index = {h.mask: i for i, h in enumerate(member_subs)}
+        discovered, result = cached
+        if discovered > max_subgroups:
+            raise SubgroupCapExceeded(
+                f"more than {max_subgroups} subgroups in {g.name}"
+            )
+        return result
+    full_mask = (1 << g.order) - 1
+    best, pairs = _maximal_centralizers(g, full_mask)
+    mask_index = {m: i for i, (m, _) in enumerate(pairs)}
+    # CD(G) is a lattice: its largest member contains all the others
+    top = pairs[-1][0]
+    member_subs, discovered = replay_subgroups(
+        g, top, mask_index, max_subgroups=max_subgroups
+    )
     members = []
     for h in member_subs:
-        cent = centralizer(g, h)
-        if cent.mask not in mask_index:
+        cent = centralizer(g, h).mask
+        if cent not in mask_index:
             raise AssertionError(
                 f"centralizer of a member is not a member in {g.name}"
             )
@@ -119,15 +158,15 @@ def cd_lattice(
                 subgroup=h,
                 is_normal=defect <= 1,
                 defect=defect,
-                is_centrally_large=cent.mask & ~h.mask == 0,
-                centralizer_index=mask_index[cent.mask],
+                is_centrally_large=cent & ~h.mask == 0,
+                centralizer_index=mask_index[cent],
             )
         )
-    edges = _hasse_edges([h.mask for h in member_subs])
+    edges = _hasse_edges(list(mask_index))
     result = CDResult(
         group=g, max_measure=best, members=tuple(members), hasse_edges=edges
     )
-    g._cache["cd_result"] = result
+    g._cache["cd_result"] = discovered, result
     return result
 
 
@@ -161,7 +200,7 @@ def cl_subgroups(
 
 @dataclass(frozen=True)
 class SubgroupCD:
-    """Lattice of a subgroup S <= G computed inside G's enumeration."""
+    """Lattice of a subgroup S <= G, as masks of G."""
 
     ambient: Group
     max_measure: int
@@ -170,26 +209,18 @@ class SubgroupCD:
 
 
 def cd_of_subgroup(g: Group, s: Subgroup) -> SubgroupCD:
-    """Lattice of s as its own ambient group, reusing g's enumeration.
-
-    Subgroups of s are the enumerated subgroups of g inside s's mask, and
-    C_S(H) = C_G(H) & S.
-    """
+    """Lattice of s as its own ambient group, from centralizers in s:
+    C_S(H) = C_G(H) & S.  Memoized on g per s."""
     cache = g._cache.setdefault("sub_cd", {})
-    cached = cache.get(s.mask)
-    if cached is not None:
-        return cached
-    best, members = _maximal_measure(g, all_subgroups(g), s.mask)
-    cl = tuple(
-        h.mask for h in members if centralizer(g, h).mask & s.mask & ~h.mask == 0
-    )
-    result = SubgroupCD(
-        ambient=g,
-        max_measure=best,
-        member_masks=tuple(h.mask for h in members),
-        cl_masks=cl,
-    )
-    cache[s.mask] = result
+    result = cache.get(s.mask)
+    if result is None:
+        best, pairs = _maximal_centralizers(g, s.mask)
+        result = cache[s.mask] = SubgroupCD(
+            ambient=g,
+            max_measure=best,
+            member_masks=tuple(m for m, _ in pairs),
+            cl_masks=tuple(m for m, cent in pairs if cent & ~m == 0),
+        )
     return result
 
 

@@ -8,10 +8,11 @@ verdict; a failing check carries a witness (subgroups and measures).
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .cdlattice import cd_lattice, cd_of_subgroup, measure
+from .cdlattice import CDResult, cd_lattice, cd_of_subgroup, measure
 from .corpus import (
     ENUMERABLE_WREATH_SPECS,
     G32_GENS,
@@ -42,6 +43,7 @@ from .subgroups import (
     normal_closure,
     normalizer,
     product_set_mask,
+    resolve_caps,
     subnormal_defect,
 )
 
@@ -94,8 +96,22 @@ def _failed(note: str, subgroups=(), **stats) -> tuple[str, dict, dict]:
     return "failed", {"note": note, "subgroups": items}, stats
 
 
+# (order cap, enumeration limit) of the check in progress, set by run_check
+_CAPS: ContextVar[tuple[int, int]] = ContextVar(
+    "check_caps", default=(DEFAULT_ORDER_CAP, DEFAULT_ENUM_LIMIT)
+)
+
+
 def _enumerable(g: Group) -> bool:
-    return g.order <= DEFAULT_ENUM_LIMIT
+    return g.order <= _CAPS.get()[1]
+
+
+def _lattice(g: Group) -> CDResult:
+    return cd_lattice(g, max_order=_CAPS.get()[1])
+
+
+def _subgroups(g: Group) -> tuple[Subgroup, ...]:
+    return all_subgroups(g, max_order=_CAPS.get()[1])
 
 
 def _is_prime(n: int) -> bool:
@@ -116,8 +132,8 @@ def _is_prime(n: int) -> bool:
 def _check_cd_sublattice(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
-    result = cd_lattice(g)
-    subs = all_subgroups(g)
+    result = _lattice(g)
+    subs = _subgroups(g)
     members = [m.subgroup for m in result.members]
     member_masks = {h.mask for h in members}
     pairs = 0
@@ -146,7 +162,7 @@ def _check_cd_sublattice(g: Group):
 def _check_cd_subnormal(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
-    result = cd_lattice(g)
+    result = _lattice(g)
     for m in result.members:
         defect = subnormal_defect(g, m.subgroup)
         if defect is None:
@@ -155,14 +171,14 @@ def _check_cd_subnormal(g: Group):
             return _failed(
                 f"annotated defect {m.defect} != recomputed {defect}", [m.subgroup]
             )
-    return _passed(subgroups_enumerated=len(all_subgroups(g)))
+    return _passed(subgroups_enumerated=len(_subgroups(g)))
 
 
 def _check_useful_prop(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
-    result = cd_lattice(g)
-    subs = all_subgroups(g)
+    result = _lattice(g)
+    subs = _subgroups(g)
     full_mask = (1 << g.order) - 1
     pairs = 0
     for m in result.members:
@@ -187,16 +203,16 @@ def _check_direct_cd(g: Group):
     if not _enumerable(g):
         return _skipped("product too large to enumerate")
     left, right = meta.factors
-    got = set(cd_lattice(g).member_masks())
+    got = set(_lattice(g).member_masks())
     want = set()
-    for m1 in cd_lattice(left).members:
-        for m2 in cd_lattice(right).members:
+    for m1 in _lattice(left).members:
+        for m2 in _lattice(right).members:
             want.add(product_subgroup(g, m1.subgroup, m2.subgroup).mask)
     if got != want:
         extra = [Subgroup(g, m) for m in sorted(got ^ want)[:3]]
         return _failed("CD of product differs from product of CDs", extra)
     return _passed(
-        subgroups_enumerated=len(all_subgroups(g)), members=len(got)
+        subgroups_enumerated=len(_subgroups(g)), members=len(got)
     )
 
 
@@ -207,19 +223,19 @@ def _check_direct_cl(g: Group):
     if not _enumerable(g):
         return _skipped("product too large to enumerate")
     left, right = meta.factors
-    got = set(cd_lattice(g).cl_masks())
+    got = set(_lattice(g).cl_masks())
     want = set()
-    for x in cd_lattice(left).members:
+    for x in _lattice(left).members:
         if not x.is_centrally_large:
             continue
-        for y in cd_lattice(right).members:
+        for y in _lattice(right).members:
             if y.is_centrally_large:
                 want.add(product_subgroup(g, x.subgroup, y.subgroup).mask)
     if got != want:
         extra = [Subgroup(g, m) for m in sorted(got ^ want)[:3]]
         return _failed("CL of product differs from product of CLs", extra)
     return _passed(
-        subgroups_enumerated=len(all_subgroups(g)), members=len(got)
+        subgroups_enumerated=len(_subgroups(g)), members=len(got)
     )
 
 
@@ -284,10 +300,10 @@ def _check_wreath_not_self(g: Group):
         )
     stats = {"base_measure": str(m_base), "group_measure": str(m_whole)}
     if _enumerable(g):
-        result = cd_lattice(g)
+        result = _lattice(g)
         if ((1 << g.order) - 1) in result.member_masks():
             return _failed("W is a member despite the measure gap", [])
-        stats["subgroups_enumerated"] = len(all_subgroups(g))
+        stats["subgroups_enumerated"] = len(_subgroups(g))
     return "passed", None, stats
 
 
@@ -303,9 +319,9 @@ def _check_wreath_self_c2(g: Group):
     if center(bottom).order != 2:
         return _skipped("|Z(G)| != 2")
     bottom_full = (1 << bottom.order) - 1
-    if bottom_full not in cd_lattice(bottom).member_masks():
+    if bottom_full not in _lattice(bottom).member_masks():
         return _skipped("bottom group is not in its own lattice")
-    result = cd_lattice(g)
+    result = _lattice(g)
     masks = set(result.member_masks())
     if ((1 << g.order) - 1) not in masks:
         return _failed("W missing from its own lattice", [full_subgroup(g)])
@@ -317,7 +333,7 @@ def _check_wreath_self_c2(g: Group):
             "CD(B) member missing from CD(W)", [Subgroup(g, missing[0])]
         )
     return _passed(
-        subgroups_enumerated=len(all_subgroups(g)),
+        subgroups_enumerated=len(_subgroups(g)),
         members=len(masks),
         base_members=len(base_cd.member_masks),
     )
@@ -338,7 +354,7 @@ def _check_wreath_cd_collapse(g: Group):
         return _skipped("needs |Z(G)| > 2 or p > 2")
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
-    result = cd_lattice(g)
+    result = _lattice(g)
     base = base_subgroup(g)
     base_cd = cd_of_subgroup(g, base)
     if set(result.member_masks()) != set(base_cd.member_masks):
@@ -346,7 +362,7 @@ def _check_wreath_cd_collapse(g: Group):
     if set(result.cl_masks()) != set(base_cd.cl_masks):
         return _failed("CL(W) differs from CL(B)", [base])
     return _passed(
-        subgroups_enumerated=len(all_subgroups(g)), members=len(result.members)
+        subgroups_enumerated=len(_subgroups(g)), members=len(result.members)
     )
 
 
@@ -363,14 +379,14 @@ def _check_wreath_mmm(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
     base_mask = base_subgroup(g).mask
-    result = cd_lattice(g)
+    result = _lattice(g)
     for m in result.members:
         u = m.subgroup
         if u.mask & ~base_mask and centralizer(g, u).mask & ~base_mask:
             return _failed(
                 "member with neither U nor C_W(U) inside the base", [u]
             )
-    return _passed(subgroups_enumerated=len(all_subgroups(g)))
+    return _passed(subgroups_enumerated=len(_subgroups(g)))
 
 
 def _check_d12_counterexample(g: Group):
@@ -388,9 +404,9 @@ def _check_d12_counterexample(g: Group):
     m_g = g.order * center(g).order
     if m_g != 24:
         return _failed(f"m(G) = {m_g}, expected 24", [])
-    if ((1 << g.order) - 1) in cd_lattice(g).member_masks():
+    if ((1 << g.order) - 1) in _lattice(g).member_masks():
         return _failed("G still sits in its own lattice", [full_subgroup(g)])
-    w = wreath_cyclic(g, 2)
+    w = wreath_cyclic(g, 2, max_order=_CAPS.get()[0])
     m_w = w.order * center(w).order
     if m_w != 576:
         return _failed(f"m_W(W) = {m_w}, expected 576", [])
@@ -399,7 +415,7 @@ def _check_d12_counterexample(g: Group):
     if m_u < u.order**2 or m_u <= m_w:
         return _failed(f"m_W(U) = {m_u} does not witness W out of CD(W)", [])
     return _passed(
-        subgroups_enumerated=len(all_subgroups(g)),
+        subgroups_enumerated=len(_subgroups(g)),
         rotation_measure=str(m_r),
         group_measure=str(m_g),
         wreath_measure=str(m_w),
@@ -411,7 +427,7 @@ def _check_g32_nonnormal(g: Group):
     if g.name != "g32" or g.order != 32:
         return _skipped("needs the g32 corpus fixture")
     a, b, d = G32_GENS["a"], G32_GENS["b"], G32_GENS["d"]
-    result = cd_lattice(g)
+    result = _lattice(g)
     masks = set(result.member_masks())
     da = g.mul(d, a)
     da3 = g.mul(d, g.mul(g.mul(a, a), a))
@@ -435,7 +451,7 @@ def _check_g32_nonnormal(g: Group):
         if subnormal_defect(g, m.subgroup) is None:
             return _failed("member is not subnormal", [m.subgroup])
     return _passed(
-        subgroups_enumerated=len(all_subgroups(g)), members=len(result.members)
+        subgroups_enumerated=len(_subgroups(g)), members=len(result.members)
     )
 
 
@@ -471,11 +487,11 @@ def _check_embed_2group(g: Group):
         return _skipped("needs an iterated C2 wreath")
     if inner.bottom.order != 2:
         return _skipped("needs (C2 wr C2) wr C2")
-    result = cd_lattice(g)
+    result = _lattice(g)
     if ((1 << g.order) - 1) not in result.member_masks():
         return _failed("iterated wreath missing from its own lattice", [])
     return _passed(
-        subgroups_enumerated=len(all_subgroups(g)), members=len(result.members)
+        subgroups_enumerated=len(_subgroups(g)), members=len(result.members)
     )
 
 
@@ -490,29 +506,29 @@ def _check_simple_cd(g: Group):
         ncl = normal_closure(full, closure(g, [x]))
         if ncl.mask != full_mask:
             return _skipped("group is not simple")
-    result = cd_lattice(g)
+    result = _lattice(g)
     want = {center(g).mask, full_mask}
     if set(result.member_masks()) != want:
         return _failed("lattice of a simple group is not {Z(S), S}", [])
-    return _passed(subgroups_enumerated=len(all_subgroups(g)))
+    return _passed(subgroups_enumerated=len(_subgroups(g)))
 
 
 def _check_sym_cd(g: Group):
     if g.name not in ("S4", "S5"):
         return _skipped("needs S4 or S5")
-    result = cd_lattice(g)
+    result = _lattice(g)
     want = {1, (1 << g.order) - 1}
     if set(result.member_masks()) != want:
         return _failed("symmetric-group lattice is not {1, G}", [])
     return _passed(
-        subgroups_enumerated=len(all_subgroups(g)), max_measure=str(result.max_measure)
+        subgroups_enumerated=len(_subgroups(g)), max_measure=str(result.max_measure)
     )
 
 
 def _check_measure_lemmas(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
-    subs = all_subgroups(g)
+    subs = _subgroups(g)
     meas = {}
     cents = {}
     for h in subs:
@@ -686,26 +702,34 @@ def check_ids() -> tuple[str, ...]:
 def run_check(
     check_id: str,
     spec: str | GroupSpec | Group,
-    max_order: int = DEFAULT_ORDER_CAP,
+    max_order: int | None = None,
 ) -> Verdict:
-    """Run one named check against one group spec, built under the order
-    cap `max_order`."""
+    """Run one named check against one group spec.
+
+    `max_order` caps the order of every group the check builds and its
+    enumeration, as `compute --max-order` does; None keeps the default
+    caps.
+    """
     check = CHECKS_BY_ID.get(check_id)
     if check is None:
         known = ", ".join(check_ids())
         raise KeyError(f"unknown check {check_id!r} (known: {known})")
+    caps = resolve_caps(max_order)
     if isinstance(spec, Group):
         group = spec
         text = spec.name
     else:
         node = parse_spec(spec) if isinstance(spec, str) else spec
         text = spec_text(node)
-        group = evaluate(node, max_order=max_order)
+        group = evaluate(node, max_order=caps[0])
+    token = _CAPS.set(caps)
     start = time.perf_counter()
     try:
         status, witness, stats = check.fn(group)
     except AssertionError as exc:  # internal invariant surfaced as a failure
         status, witness, stats = "failed", {"note": str(exc), "subgroups": []}, {}
+    finally:
+        _CAPS.reset(token)
     elapsed = time.perf_counter() - start
     return Verdict(
         check_id=check_id,
@@ -728,7 +752,6 @@ def default_pairs(check_id: str | None = None) -> list[tuple[str, str]]:
     return pairs
 
 
-def run_pairs(pairs, max_order: int = DEFAULT_ORDER_CAP) -> list[Verdict]:
-    """Run (check_id, spec) pairs in order, each group built under the
-    order cap `max_order`."""
+def run_pairs(pairs, max_order: int | None = None) -> list[Verdict]:
+    """Run (check_id, spec) pairs in order under the caps of `max_order`."""
     return [run_check(cid, spec, max_order) for cid, spec in pairs]

@@ -23,7 +23,6 @@ from .errors import (
     TooLargeForIso,
     UnknownFixture,
 )
-from .groups import DEFAULT_ORDER_CAP
 from .report import (
     build_report,
     build_verify_report,
@@ -34,7 +33,7 @@ from .report import (
     report_json,
 )
 from .specparse import cayley_paths, evaluate, parse_spec, spec_text
-from .subgroups import DEFAULT_ENUM_LIMIT, DEFAULT_SUBGROUP_CAP
+from .subgroups import DEFAULT_SUBGROUP_CAP, resolve_caps
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SUBGROUP_CAP,
         metavar="N",
-        help="cap on enumerated subgroup count",
+        help="cap on the subgroups discovered while finding member generators",
     )
     pc.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     pc.add_argument(
@@ -102,7 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
         help='group spec or "corpus" for the default corpus (default)',
     )
     pv.add_argument("--check", dest="check_flag", metavar="ID", help="same as the positional check id")
-    common(pv, "cap on the order of every group spec verify builds, corpus included")
+    common(
+        pv,
+        "cap on the order of every group verify builds and enumerates, corpus "
+        "included",
+    )
     return parser
 
 
@@ -118,14 +121,8 @@ def _emit_error(args, exc: Exception, code: int) -> int:
     return code
 
 
-def _caps(args) -> tuple[int, int]:
-    if args.max_order is not None:
-        return args.max_order, args.max_order
-    return DEFAULT_ORDER_CAP, DEFAULT_ENUM_LIMIT
-
-
 def _cmd_compute(args) -> int:
-    order_cap, enum_limit = _caps(args)
+    order_cap, enum_limit = resolve_caps(args.max_order)
     try:
         node = parse_spec(args.spec)
     except ParseError as exc:
@@ -189,7 +186,6 @@ def _cmd_verify(args) -> int:
         known = ", ".join(check_ids())
         print(f"error: unknown check {check!r} (known: {known})", file=sys.stderr)
         return EXIT_INVALID
-    order_cap, _ = _caps(args)
     try:
         if args.target == "corpus":
             pairs = default_pairs(None if check == "all" else check)
@@ -197,7 +193,7 @@ def _cmd_verify(args) -> int:
             text = spec_text(parse_spec(args.target))
             ids = check_ids() if check == "all" else (check,)
             pairs = [(cid, text) for cid in ids]
-        verdicts = run_pairs(pairs, order_cap)
+        verdicts = run_pairs(pairs, args.max_order)
     except ParseError as exc:
         return _emit_error(args, exc, EXIT_PARSE)
     except _CAP_ERRORS as exc:

@@ -1,16 +1,24 @@
 """Subgroups as bitmasks over element indices: closure, exhaustive
-enumeration, centralizers, normalizers, normal closures and subnormal
-defect."""
+enumeration and its replay inside one subgroup, centralizers,
+normalizers, normal closures and subnormal defect."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EnumerationLimitExceeded, SubgroupCapExceeded
-from .groups import Group
+from .groups import DEFAULT_ORDER_CAP, Group
 
 DEFAULT_ENUM_LIMIT = 512
 DEFAULT_SUBGROUP_CAP = 250000
+
+
+def resolve_caps(max_order: int | None) -> tuple[int, int]:
+    """(order cap, enumeration limit) for a `--max-order` value: None
+    keeps the defaults, N sets both to N."""
+    if max_order is None:
+        return DEFAULT_ORDER_CAP, DEFAULT_ENUM_LIMIT
+    return max_order, max_order
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -169,37 +177,79 @@ def _greedy_generators(g: Group, mask: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def all_subgroups(
-    g: Group,
-    *,
-    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
-    max_order: int = DEFAULT_ENUM_LIMIT,
-) -> tuple[Subgroup, ...]:
-    """Every subgroup of g, exactly once, canonically ordered.
+def _discover(
+    g: Group, within: int, targets: Sequence[int], max_subgroups: int
+) -> tuple[dict[int, list[int]], int]:
+    """The discovery BFS over the subgroups of the subgroup `within`.
 
-    Seeds with all cyclic subgroups, then closes the collection under
+    Seeds with every cyclic subgroup, then closes the collection under
     joins with cyclic subgroups (one coset representative per coset, which
-    realizes the pairwise-join fixpoint) until nothing new appears.
+    realizes the pairwise-join fixpoint).  Returns `found`, which maps each
+    subgroup mask to the generators it was first reached by, in discovery
+    order, and how many subgroups were discovered up to the last target
+    (all of them, with no targets).  Reports print those generators, so
+    the traversal order is part of the output.  Elements are tried in g's
+    index order, so for L <= H the run inside H records the same found[L]
+    as the run inside G.
+
+    Runs until every mask of `targets` is found or, with no targets, until
+    nothing new appears.  The state is kept on g per `within`, and a later
+    call resumes at the start of the pop this one stopped or raised in
+    (re-running a pop appends nothing twice).  Raises SubgroupCapExceeded
+    when more than max_subgroups subgroups are discovered up to the last
+    target (up to the end, with no targets).
     """
-    n = g.order
-    if n > max_order:
-        raise EnumerationLimitExceeded(
-            f"|{g.name}| = {n} exceeds enumeration limit {max_order}"
-        )
-    cached = g._cache.get("subgroups")
-    if cached is not None:
-        if len(cached) > max_subgroups:
-            raise SubgroupCapExceeded(
-                f"more than {max_subgroups} subgroups in {g.name}"
-            )
-        return cached
+    states = g._cache.setdefault("discovery", {})
+    state = states.get(within)
+    if state is None:
+        state = states[within] = _seed_discovery(g.table, within)
+    found, worklist = state["found"], state["worklist"]
+    drain = not targets
+    pending = {t for t in targets if t not in found}
     table = g.table
-    # seed: trivial and all cyclic subgroups, in generator order
-    # found maps each mask to the generators it was discovered by, which
-    # reports print, so the traversal order is part of the output
+    elements = bits_of(within)[1:]
+    wi = state["pos"]
+    while (drain or pending) and wi < len(worklist):
+        kmask = worklist[wi]
+        if kmask != within:
+            gens = found[kmask]
+            elems = bits_of(kmask)
+            covered = kmask
+            for x in elements:
+                if covered >> x & 1:
+                    continue
+                for h in elems:
+                    covered |= 1 << table[h][x]
+                new_mask = _extend(table, kmask, elems, gens, x)
+                if new_mask in found:
+                    continue
+                found[new_mask] = gens + [x]
+                worklist.append(new_mask)
+                if len(found) > max_subgroups:
+                    raise SubgroupCapExceeded(
+                        f"more than {max_subgroups} subgroups in {g.name}"
+                    )
+                pending.discard(new_mask)
+                if not (drain or pending):
+                    break
+        if drain or pending:
+            wi += 1
+            state["pos"] = wi
+    if pending:
+        raise ValueError(f"targets are not subgroups of {within:#x} in {g.name}")
+    if drain:
+        discovered = len(found)
+    else:
+        discovered = 1 + max(worklist.index(t) for t in targets)
+    if discovered > max_subgroups:
+        raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
+    return found, discovered
+
+
+def _seed_discovery(table, within: int) -> dict:
+    """The trivial and every cyclic subgroup of `within`, in generator order."""
     found: dict[int, list[int]] = {1: []}
-    worklist = [1]
-    for x in range(1, n):
+    for x in bits_of(within)[1:]:
         mask = 1
         y = x
         while y != 0:
@@ -207,42 +257,56 @@ def all_subgroups(
             y = table[y][x]
         if mask not in found:
             found[mask] = [x]
-            worklist.append(mask)
-    full_mask = (1 << n) - 1
-    wi = 0
-    while wi < len(worklist):
-        kmask = worklist[wi]
-        wi += 1
-        if kmask == full_mask:
-            continue
-        gens = found[kmask]
-        elems = bits_of(kmask)
-        covered = kmask
-        for x in range(1, n):
-            if covered >> x & 1:
-                continue
-            for h in elems:
-                covered |= 1 << table[h][x]
-            new_mask = _extend(table, kmask, elems, gens, x)
-            if new_mask not in found:
-                found[new_mask] = gens + [x]
-                worklist.append(new_mask)
-                if len(found) > max_subgroups:
-                    raise SubgroupCapExceeded(
-                        f"more than {max_subgroups} subgroups in {g.name}"
-                    )
-    subs = [Subgroup(g, mask, gens=tuple(gens)) for mask, gens in found.items()]
-    subs.sort(key=Subgroup.key)
-    result = tuple(subs)
-    g._cache["subgroups"] = result
-    return result
+    return {"found": found, "worklist": list(found), "pos": 0}
+
+
+def all_subgroups(
+    g: Group,
+    *,
+    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
+    max_order: int = DEFAULT_ENUM_LIMIT,
+) -> tuple[Subgroup, ...]:
+    """Every subgroup of g, exactly once, canonically ordered, each with the
+    generators it was discovered by."""
+    n = g.order
+    if n > max_order:
+        raise EnumerationLimitExceeded(
+            f"|{g.name}| = {n} exceeds enumeration limit {max_order}"
+        )
+    cached = g._cache.get("subgroups")
+    if cached is None:
+        full_mask = (1 << n) - 1
+        found, _ = _discover(g, full_mask, (), max_subgroups)
+        subs = [Subgroup(g, mask, gens=tuple(gens)) for mask, gens in found.items()]
+        subs.sort(key=Subgroup.key)
+        cached = g._cache["subgroups"] = tuple(subs)
+        del g._cache["discovery"][full_mask]
+    elif len(cached) > max_subgroups:
+        raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
+    return cached
+
+
+def replay_subgroups(
+    g: Group,
+    within: int,
+    masks: Iterable[int],
+    *,
+    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
+) -> tuple[list[Subgroup], int]:
+    """The subgroups `masks` of the subgroup `within`, each with the
+    generators all_subgroups(g) records for it, found by the discovery
+    BFS inside `within` alone; and the number of subgroups that BFS
+    discovers up to the last of them, which max_subgroups caps."""
+    masks = list(masks)
+    found, discovered = _discover(g, within, masks, max_subgroups)
+    return [Subgroup(g, m, gens=tuple(found[m])) for m in masks], discovered
 
 
 # ---------------------------------------------------------------------------
 # Centralizers and normal structure
 
 
-def _element_centralizer(g: Group, s: int) -> int:
+def element_centralizer(g: Group, s: int) -> int:
     """Bitmask of C_G(s), formed once per element and kept on the group."""
     cache = g._cache.setdefault("element_centralizers", {})
     mask = cache.get(s)
@@ -263,7 +327,7 @@ def centralizer(g: Group, h: Subgroup) -> Subgroup:
     generators implies commuting with all products."""
     mask = (1 << g.order) - 1
     for s in h.generators():
-        mask &= _element_centralizer(g, s)
+        mask &= element_centralizer(g, s)
     return Subgroup(g, mask)
 
 
@@ -273,13 +337,14 @@ def center(g: Group) -> Subgroup:
 
 def normalizer(g: Group, h: Subgroup) -> Subgroup:
     """Elements x with h^x = h."""
+    table = g.table
+    inv = g._inv
     gens = h.generators()
-    mul = g.mul
     hmask = h.mask
     mask = 0
     for x in range(g.order):
-        xi = g.inv(x)
-        if all(hmask >> mul(mul(xi, s), x) & 1 for s in gens):
+        row_xi = table[inv[x]]
+        if all(hmask >> table[row_xi[s]][x] & 1 for s in gens):
             mask |= 1 << x
     return Subgroup(g, mask)
 
@@ -290,12 +355,13 @@ def is_normal(g: Group, h: Subgroup) -> bool:
 
 def conjugate_subgroup(g: Group, h: Subgroup, x: int) -> Subgroup:
     """h^x = x^-1 h x."""
-    mul = g.mul
-    xi = g.inv(x)
+    table = g.table
+    row_xi = table[g._inv[x]]
     mask = 0
     for e in h.elements():
-        mask |= 1 << mul(mul(xi, e), x)
-    return Subgroup(g, mask, gens=tuple(mul(mul(xi, s), x) for s in h.generators()))
+        mask |= 1 << table[row_xi[e]][x]
+    gens = tuple(table[row_xi[s]][x] for s in h.generators())
+    return Subgroup(g, mask, gens=gens)
 
 
 def normal_closure(big: Subgroup, small: Subgroup) -> Subgroup:

@@ -130,3 +130,70 @@ def brute_is_associative(rows) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+def brute_subgroup_masks_within(g: Group, within: int) -> set[int]:
+    """Every subgroup of S = `within`: start from {1}, adjoin one element
+    of S at a time and close naively.  Every subgroup is reached by
+    adjoining its generators one by one."""
+    elems = [x for x in range(g.order) if within >> x & 1]
+    found = {1}
+    frontier = [1]
+    while frontier:
+        grown = []
+        for mask in frontier:
+            members = [x for x in elems if mask >> x & 1]
+            for x in elems:
+                if mask >> x & 1:
+                    continue
+                bigger = brute_closure_mask(g, members + [x])
+                if bigger not in found:
+                    found.add(bigger)
+                    grown.append(bigger)
+        frontier = grown
+    return found
+
+
+def brute_cd_members(g: Group, within: int | None = None) -> tuple[int, list[int]]:
+    """Largest |H| * |C_S(H)| over the subgroups H of S = `within` (all of
+    g by default), with C_S(H) = C_G(H) & S, and the masks attaining it
+    ordered by (order, elements)."""
+    if within is None:
+        within = (1 << g.order) - 1
+    best, members = 0, []
+    for h in brute_subgroup_masks_within(g, within):
+        m = h.bit_count() * (brute_centralizer_mask(g, h) & within).bit_count()
+        if m > best:
+            best, members = m, [h]
+        elif m == best:
+            members.append(h)
+    members.sort(key=lambda h: (h.bit_count(), [x for x in range(g.order) if h >> x & 1]))
+    return best, members
+
+
+def fresh_group(spec: str) -> Group:
+    """A copy of evaluate(spec) with empty memos, sharing no per-group
+    state with the evaluation cache's copy."""
+    from cdlat.specparse import evaluate
+
+    g = evaluate(spec)
+    return Group(
+        g.order,
+        name=g.name,
+        provenance=g.provenance,
+        rows=g.table,
+        inv_table=[g.inv(x) for x in range(g.order)],
+        known_gens=g.known_gens,
+        perm_images=g.perm_images,
+        product_meta=g.product_meta,
+    )
+
+
+def brute_conjugate_mask(g: Group, hmask: int, x: int) -> int:
+    """{x^-1 h x : h in H}, element by element."""
+    xi = g.inv(x)
+    mask = 0
+    for h in range(g.order):
+        if hmask >> h & 1:
+            mask |= 1 << g.mul(g.mul(xi, h), x)
+    return mask

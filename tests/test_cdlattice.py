@@ -19,6 +19,12 @@ from cdlat import (
     named_group,
     trivial_subgroup,
 )
+from cdlat.cdlattice import CDMember, CDResult, _hasse_edges
+from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
+from cdlat.report import build_report, report_json
+from cdlat.subgroups import subnormal_defect
+
+from bruteforce import brute_cd_members, brute_centralizer_mask, fresh_group
 
 
 def masks(result):
@@ -201,3 +207,93 @@ def test_cached_results_respect_the_caps():
             call(g, max_order=4)
         with pytest.raises(SubgroupCapExceeded):
             call(g, max_subgroups=2)
+
+
+# the 13 specs whose compute reports were pinned when subgroups became bare
+# bitmasks, then the 100 groups the centralizer and normality oracles cover
+PINNED_SPECS = (
+    "D8",
+    "S5",
+    "S3 x D8",
+    "corpus:g32",
+    "D8 wr C2",
+    "D12 wr C2",
+    "D8 x D8 x C2",
+    "C2 x C2 x C2 x C2 x C2 x C2",
+    "UT(4,2) x C2",
+    "Q8 x C4",
+    "C2 wr C3",
+    "S4 x C3",
+    "A4 x C2",
+)
+CORPUS_SPECS = universal_corpus_specs() + ("corpus:g32",) + ENUMERABLE_WREATH_SPECS
+
+
+def enumerate_then_scan(g):
+    """The lattice from every subgroup: enumerate, then keep the subgroups
+    of largest measure, annotated as cd_lattice annotates its members."""
+    subs = all_subgroups(g)
+    meas = [h.order * centralizer(g, h).order for h in subs]
+    best = max(meas)
+    found = [h for h, m in zip(subs, meas) if m == best]
+    index = {h.mask: i for i, h in enumerate(found)}
+    members = []
+    for h in found:
+        cent = centralizer(g, h).mask
+        defect = subnormal_defect(g, h)
+        members.append(
+            CDMember(h, defect <= 1, defect, cent & ~h.mask == 0, index[cent])
+        )
+    edges = _hasse_edges([h.mask for h in found])
+    return CDResult(g, best, tuple(members), edges)
+
+
+def test_closure_matches_enumerate_then_scan():
+    for spec in dict.fromkeys(PINNED_SPECS + CORPUS_SPECS):
+        old = enumerate_then_scan(fresh_group(spec))
+        g = fresh_group(spec)
+        new = cd_lattice(g)
+        assert new.max_measure == old.max_measure == max_measure(g), spec
+        assert new.member_masks() == old.member_masks(), spec
+        want = report_json(build_report(spec, old.group, old))
+        assert report_json(build_report(spec, g, new)) == want, spec
+
+
+def test_cd_of_subgroup_matches_brute_force_inside_every_subgroup():
+    groups = [fresh_group(s) for s in universal_corpus_specs()]
+    groups = [g for g in groups if g.order <= 16] + [fresh_group("corpus:g32")]
+    checked = 0
+    for g in groups:
+        for s in all_subgroups(g):
+            best, members = brute_cd_members(g, s.mask)
+            cl = [m for m in members if brute_centralizer_mask(g, m) & s.mask & ~m == 0]
+            got = cd_of_subgroup(g, s)
+            assert got.max_measure == best, (g.name, s.mask)
+            assert list(got.member_masks) == members, (g.name, s.mask)
+            assert list(got.cl_masks) == cl, (g.name, s.mask)
+            checked += 1
+    assert checked == 677
+
+
+def test_cd_lattice_matches_brute_force_on_small_groups():
+    for spec in universal_corpus_specs():
+        g = fresh_group(spec)
+        if g.order > 16:
+            continue
+        best, members = brute_cd_members(g)
+        result = cd_lattice(g)
+        assert (result.max_measure, result.member_masks()) == (best, members), spec
+
+
+def test_max_subgroups_caps_the_subgroups_the_replay_discovers():
+    # D12 wr C2: CD(W) lies inside a proper subgroup, whose replay meets
+    # far fewer subgroups than the enumeration of W
+    g = fresh_group("D12 wr C2")
+    with pytest.raises(SubgroupCapExceeded):
+        cd_lattice(g, max_subgroups=10)
+    result = cd_lattice(g, max_subgroups=100)
+    with pytest.raises(SubgroupCapExceeded):
+        cd_lattice(g, max_subgroups=10)  # cached, still capped
+    with pytest.raises(SubgroupCapExceeded):
+        all_subgroups(g, max_subgroups=100)
+    assert result.member_masks() == cd_lattice(fresh_group("D12 wr C2")).member_masks()

@@ -1,5 +1,6 @@
 """JSON/DOT serialization, the on-disk cache, and CLI behavior."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -215,6 +216,26 @@ def test_cli_verify_max_order_caps_the_corpus(capsys):
     assert "S5 has order 120 > cap 100" in capsys.readouterr().err
 
 
+def test_cli_verify_max_order_reaches_the_enumeration_limit(capsys):
+    # C625 is past the default enumeration limit of 512
+    assert main(["verify", "cd-sublattice", "C625", "--max-order", "1000"]) == 0
+    assert "PASS  cd-sublattice  [C625]" in capsys.readouterr().out
+
+
+def test_cli_verify_max_order_caps_groups_a_check_builds(capsys):
+    # d12-counterexample builds D12 wr C2, of order 288
+    assert main(["verify", "d12-counterexample", "D12", "--max-order", "30"]) == 3
+    assert "> cap 30" in capsys.readouterr().err
+
+
+def test_cli_max_subgroups_counts_the_replayed_subgroups(capsys):
+    # CD(D12 wr C2) is one subgroup of order 36, found after 21 of the
+    # 1336 subgroups of the wreath
+    assert main(["compute", "D12 wr C2", "--no-cache", "--max-subgroups", "100"]) == 0
+    assert main(["compute", "D12 wr C2", "--no-cache", "--max-subgroups", "20"]) == 3
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("spec", ["corpus:ut52", "cayley:g.cay"])
 def test_cli_fixed_order_atoms_obey_max_order(spec, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -279,3 +300,22 @@ def test_cli_verify_json_report(tmp_path):
     assert report["summary"]["passed"] == 1
     assert report["verdicts"][0]["check_id"] == "g32-nonnormal"
     assert "elapsed" not in jpath.read_text()
+
+
+# sha256 of `compute SPEC --json` reports as recorded by the exhaustive
+# enumeration; member generators are that enumeration's discovery path
+PINNED_REPORTS = {
+    "D8": "47f4de41480a371072c38983da92870f48f2e1967098d5af756185b5a5f774a7",
+    "S3 x D8": "36ee14660e84b974c7f5caf26c0eb39a14eecf2518f72b5aef87d6d36b642633",
+    "corpus:g32": "ac095cb808558e41a4200e38ab90f08d98ad0f28f5ce7829553da767e7cf6fc2",
+    "D12 wr C2": "455f4ed21b0cab4d47f1acde3cd67bd9301a9903ca1206c4cd36868b25c899bf",
+    "UT(4,2) x C2": "a78cac56e30babd06d8a40d7509ee98d43b4242064fc9520ea0cdef408a2f242",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_REPORTS))
+def test_compute_report_bytes_are_pinned(spec, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["compute", spec, "--no-cache", "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[spec]
+    capsys.readouterr()

@@ -29,14 +29,17 @@ from cdlat.corpus import (
     universal_corpus_specs,
 )
 from cdlat.specparse import evaluate
+from cdlat.subgroups import replay_subgroups
 
 from bruteforce import (
     brute_center_mask,
     brute_centralizer_mask,
     brute_closure_mask,
+    brute_conjugate_mask,
     brute_normal_closure_mask,
     brute_normalizer_mask,
     brute_subgroup_masks,
+    fresh_group,
 )
 
 
@@ -288,3 +291,44 @@ def test_subnormal_defect_matches_brute_force_chain():
                     break
                 current = nxt
             assert subnormal_defect(g, h) == depth, (g.name, h.mask)
+
+
+def test_normalizer_and_conjugates_match_brute_force_over_the_corpus():
+    for spec in universal_corpus_specs():
+        g = evaluate(spec)
+        for h in all_subgroups(g):
+            assert normalizer(g, h).mask == brute_normalizer_mask(g, h.mask), spec
+            for x in range(g.order):
+                cj = conjugate_subgroup(g, h, x)
+                assert cj.mask == brute_conjugate_mask(g, h.mask, x), (spec, x)
+                assert brute_closure_mask(g, cj.generators()) == cj.mask
+
+
+def test_replay_inside_every_subgroup_finds_the_enumeration_generators():
+    # restriction lemma: for L <= H the discovery BFS inside H records the
+    # same generators for L as the BFS over all of G
+    replays = 0
+    for spec in ORACLE_SPECS:
+        subs = all_subgroups(fresh_group(spec))
+        g = fresh_group(spec)
+        for h in subs:
+            (got,), _ = replay_subgroups(g, h.mask, [h.mask])
+            assert got.generators() == h.generators(), (spec, h.mask)
+            replays += 1
+    assert replays == 2231
+
+
+@pytest.mark.parametrize("spec", ["S4", "D8 wr C2"])
+def test_enumeration_resumes_after_the_subgroup_cap(spec):
+    want = [(h.mask, h.generators()) for h in all_subgroups(fresh_group(spec))]
+    g = fresh_group(spec)
+    seeds = len({closure(g, [x]).mask for x in range(g.order)})
+    # caps just past the cyclic seeds stop the first joins part-way through
+    # a pop; the resumed enumeration must re-run that pop, not skip it
+    for cap in range(seeds, seeds + 8):
+        g = fresh_group(spec)
+        with pytest.raises(SubgroupCapExceeded):
+            all_subgroups(g, max_subgroups=cap)
+        got = [(h.mask, h.generators()) for h in all_subgroups(g)]
+        assert got == want, cap
+        assert "discovery" not in g._cache or not g._cache["discovery"]
