@@ -429,8 +429,9 @@ def _check_g32_nonnormal(g: Group):
     a, b, d = G32_GENS["a"], G32_GENS["b"], G32_GENS["d"]
     result = _lattice(g)
     masks = set(result.member_masks())
-    da = g.mul(d, a)
-    da3 = g.mul(d, g.mul(g.mul(a, a), a))
+    table = g.table
+    da = table[d][a]
+    da3 = table[d][table[table[a][a]][a]]
     targets = {
         "<a,b>": closure(g, [a, b]),
         "<b,da>": closure(g, [b, da]),
@@ -464,10 +465,12 @@ def _check_ut52_not_self(g: Group):
     a = ut52_abelian_subgroup(g)
     if a.order != 64:
         return _failed(f"block subgroup has order {a.order}, expected 64", [a])
+    table = g.table
     elems = a.elements()
     for i, x in enumerate(elems):
+        row_x = table[x]
         for y in elems[i + 1 :]:
-            if g.mul(x, y) != g.mul(y, x):
+            if row_x[y] != table[y][x]:
                 return _failed("block subgroup is not abelian", [a])
     cent = centralizer(g, a)
     if a.mask & ~cent.mask:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadParameter, NotAGroup, OrderCapExceeded
@@ -147,10 +149,10 @@ class Group:
     def is_abelian(self) -> bool:
         cached = self._cache.get("abelian")
         if cached is None:
+            table = self.table
+            n = self.order
             cached = all(
-                self.mul(a, b) == self.mul(b, a)
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
+                table[a][b] == table[b][a] for a in range(n) for b in range(a + 1, n)
             )
             self._cache["abelian"] = cached
         return cached
@@ -204,11 +206,17 @@ def check_axioms(group: Group) -> None:
         if table[x][y] != 0 or table[y][x] != 0:
             raise NotAGroup(f"element {x} has no two-sided inverse")
     elements = range(n)
+    # whole rows at a time: (a*s)*b for every b against a*(s*b) for every b;
+    # tabulated rows are tuples already, formula rows are read out whole
+    row_of = tuple if group.rows() is not None else itemgetter(*elements)
     for s in generating_set(group):
-        row_s = [table[s][b] for b in elements]
+        row_s = row_of(table[s])
+        gather_s = itemgetter(*row_s)
         for a in elements:
             row_a = table[a]
             row_as = table[row_a[s]]
+            if row_of(row_as) == gather_s(row_a):
+                continue
             for b in elements:
                 if row_as[b] != row_a[row_s[b]]:
                     raise NotAGroup(f"associativity fails at triple ({a}, {s}, {b})")
@@ -232,32 +240,34 @@ def from_cayley(table: Sequence[Sequence[int]], *, name: str | None = None) -> G
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
+        if all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n:
+            continue
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise NotAGroup(f"row {i} holds entry {v!r} outside 0..{n - 1}")
+    full = list(range(n))
     ident = None
     for e in range(n):
-        if all(rows[e][x] == x for x in range(n)) and all(
-            rows[x][e] == x for x in range(n)
-        ):
+        if rows[e] == full and all(rows[x][e] == x for x in full):
             ident = e
             break
     if ident is None:
         raise NotAGroup("table has no identity element")
     if ident != 0:
-        relabel = list(range(n))
-        relabel[0], relabel[ident] = ident, 0
-        old = rows
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                rows[relabel[i]][relabel[j]] = relabel[old[i][j]]
-    full = list(range(n))
+        # the 0 <-> identity swap is its own inverse, so relabeled row i is
+        # old row swap[i], read at swap[j] and mapped through swap
+        swap = full[:]
+        swap[0], swap[ident] = ident, 0
+        get_swapped = itemgetter(*swap)
+        rows = [
+            list(map(swap.__getitem__, get_swapped(rows[swap[i]]))) for i in full
+        ]
+    # entries are ints in 0..n-1, so n distinct ones are a permutation
     for i, row in enumerate(rows):
-        if sorted(row) != full:
+        if len(set(row)) != n:
             raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
     for j, column in enumerate(zip(*rows)):
-        if sorted(column) != full:
+        if len(set(column)) != n:
             raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
     group = Group(
         n, name=name or f"cayley{n}", provenance="cayley-file", rows=rows
@@ -300,7 +310,7 @@ def load_cayley(text: str) -> list[list[int]]:
     table = []
     for line in items[1:]:
         try:
-            row = [int(tok) for tok in line.split()]
+            row = list(map(int, line.split()))
         except ValueError:
             raise NotAGroup(f"cayley file row is not integers: {line!r}")
         if len(row) != n:
@@ -389,19 +399,24 @@ def from_permutations(
     gen_perms = [g for g in gens.generators if g != identity]
     elems = [identity]
     index = {identity: 0}
+    # elems[i] = elems[parent[i]] * gen_perms[via[i]]
+    parent = [0]
+    via = [0]
     qi = 0
     while qi < len(elems):
         p = elems[qi]
-        qi += 1
-        for g in gen_perms:
+        for k, g in enumerate(gen_perms):
             q = _compose(p, g)
             if q not in index:
                 index[q] = len(elems)
                 elems.append(q)
+                parent.append(qi)
+                via.append(k)
                 if len(elems) > max_order:
                     raise OrderCapExceeded(
                         f"permutation closure exceeded {max_order} elements"
                     )
+        qi += 1
     n = len(elems)
     inv = [0] * n
     for i, p in enumerate(elems):
@@ -413,11 +428,20 @@ def from_permutations(
     def mul(a: int, b: int, _e=elems, _i=index) -> int:
         return _i[_compose(_e[a], _e[b])]
 
+    if n > TABLE_LIMIT:
+        rows = FormulaTable(mul, n)
+    else:
+        # only the generator rows are composed; since (p*g)*b = p*(g*b),
+        # every other row gathers its parent's row through a generator row
+        gen_rows = [tuple([index[_compose(g, q)] for q in elems]) for g in gen_perms]
+        rows = [tuple(range(n))]
+        for i in range(1, n):
+            rows.append(tuple(map(rows[parent[i]].__getitem__, gen_rows[via[i]])))
     return Group(
         n,
         name=name or f"perm{n}",
         provenance="permutation-gens",
-        rows=product_table(n, mul),
+        rows=rows,
         inv_table=inv,
         known_gens=tuple(index[g] for g in gen_perms),
         perm_images=elems,

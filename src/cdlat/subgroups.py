@@ -277,9 +277,10 @@ def all_subgroups(
     if cached is None:
         full_mask = (1 << n) - 1
         found, _ = _discover(g, full_mask, (), max_subgroups)
-        subs = [Subgroup(g, mask, gens=tuple(gens)) for mask, gens in found.items()]
-        subs.sort(key=Subgroup.key)
-        cached = g._cache["subgroups"] = tuple(subs)
+        # the drained loop state goes; its discovery order stays for replays
+        order = tuple(Subgroup(g, mask, gens=tuple(gens)) for mask, gens in found.items())
+        g._cache["discovery_order"] = order
+        cached = g._cache["subgroups"] = tuple(sorted(order, key=Subgroup.key))
         del g._cache["discovery"][full_mask]
     elif len(cached) > max_subgroups:
         raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
@@ -298,8 +299,18 @@ def replay_subgroups(
     BFS inside `within` alone; and the number of subgroups that BFS
     discovers up to the last of them, which max_subgroups caps."""
     masks = list(masks)
-    found, discovered = _discover(g, within, masks, max_subgroups)
-    return [Subgroup(g, m, gens=tuple(found[m])) for m in masks], discovered
+    order = g._cache.get("discovery_order")
+    if order is None or within != (1 << g.order) - 1:
+        found, discovered = _discover(g, within, masks, max_subgroups)
+        return [Subgroup(g, m, gens=tuple(found[m])) for m in masks], discovered
+    # all_subgroups(g) has run this BFS to the end: read it back
+    position = {h.mask: i for i, h in enumerate(order)}
+    if any(m not in position for m in masks):
+        raise ValueError(f"targets are not subgroups of {within:#x} in {g.name}")
+    discovered = 1 + max(position[m] for m in masks)
+    if discovered > max_subgroups:
+        raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
+    return [order[position[m]] for m in masks], discovered
 
 
 # ---------------------------------------------------------------------------

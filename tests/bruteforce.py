@@ -197,3 +197,14 @@ def brute_conjugate_mask(g: Group, hmask: int, x: int) -> int:
         if hmask >> h & 1:
             mask |= 1 << g.mul(g.mul(xi, h), x)
     return mask
+
+
+def brute_permutation_table(g: Group) -> tuple[list[list[int]], list[int]]:
+    """Products and inverses of a permutation group composed from its
+    perm_images alone: a*b applies a's images first, then b's."""
+    images = g.perm_images
+    where = {p: i for i, p in enumerate(images)}
+    rows = [[where[tuple(q[v] for v in p)] for q in images] for p in images]
+    # the inverse lists, at each point, the point that p sends there
+    inv = [where[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in images]
+    return rows, inv

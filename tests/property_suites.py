@@ -31,7 +31,7 @@ from cdlat import (
 )
 from cdlat.products import DirectProductMeta, WreathMeta
 
-from bruteforce import brute_subgroup_masks
+from bruteforce import brute_subgroup_masks, brute_subgroup_masks_within
 
 
 def assert_group_axioms(g: Group) -> None:
@@ -235,6 +235,11 @@ def assert_wreath_centralizer_formulas(w: Group) -> None:
 
 def assert_enumeration_matches_filtration(g: Group) -> None:
     assert {h.mask for h in all_subgroups(g)} == brute_subgroup_masks(g)
+
+
+def assert_enumeration_matches_adjoin_oracle(g: Group) -> None:
+    full = (1 << g.order) - 1
+    assert {h.mask for h in all_subgroups(g)} == brute_subgroup_masks_within(g, full)
 
 
 def _is_prime(n: int) -> bool:

@@ -1,6 +1,7 @@
 """Group construction: tables, permutation closure, named families."""
 
 import math
+import random
 
 import pytest
 
@@ -19,6 +20,9 @@ from cdlat import (
     named_group,
     ut_entry_bit,
 )
+from cdlat.groups import TABLE_LIMIT
+
+from bruteforce import brute_permutation_table
 
 S4_GENS = PermutationGenSet.from_cycles([[(1, 2)], [(1, 2, 3, 4)]])
 S3_GENS = PermutationGenSet.from_cycles([[(1, 2)], [(1, 2, 3)]])
@@ -272,3 +276,159 @@ def test_cayley_file_comments_and_errors(tmp_path):
         load_cayley("2\n0 1\n")  # missing a row
     with pytest.raises(NotAGroup):
         load_cayley("x\n")
+
+
+PERMUTATION_CASES = {
+    **{f"S{n}": lambda n=n: named_group("S", n) for n in range(1, 7)},
+    **{f"A{n}": lambda n=n: named_group("A", n) for n in range(4, 7)},
+    "klein": lambda: from_permutations(
+        PermutationGenSet.from_cycles([[(1, 2), (3, 4)], [(1, 3), (2, 4)]])
+    ),
+    "repeated generator": lambda: from_permutations(
+        PermutationGenSet.from_cycles([[(1, 2, 3)], [(1, 2)], [(1, 2, 3)], [(3, 4)]])
+    ),
+    "identity generator": lambda: from_permutations(
+        PermutationGenSet.from_cycles([[(1,)], [(1, 2, 3, 4, 5)], [(2, 5), (3, 4)]], degree=5)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PERMUTATION_CASES)
+def test_permutation_tables_match_composed_images(case):
+    g = PERMUTATION_CASES[case]()
+    rows, inv = brute_permutation_table(g)
+    assert g.rows() == [tuple(r) for r in rows]
+    assert [g.inv(x) for x in range(g.order)] == inv
+    assert g.perm_images[0] == tuple(range(len(g.perm_images[0])))
+
+
+def test_formula_backed_permutation_products_match_composed_images():
+    g = named_group("S", 7)
+    assert g.order > TABLE_LIMIT and g.rows() is None
+    images = g.perm_images
+    where = {p: i for i, p in enumerate(images)}
+    rng = random.Random(7)
+    for _ in range(2000):
+        a, b = rng.randrange(g.order), rng.randrange(g.order)
+        assert g.table[a][b] == where[tuple(images[b][v] for v in images[a])]
+    for a in rng.sample(range(g.order), 50):
+        assert g.table[a][g.inv(a)] == 0 == g.table[g.inv(a)][a]
+
+
+# rejection messages are part of the CLI's output: each case runs with
+# the identity at 0 and at 2, where the table is relabeled first
+S3_ROWS = [list(r) for r in from_permutations(S3_GENS).table]
+LOOP5_ROWS = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def shifted(rows, shift):
+    """The same table with every label x renamed x + shift (mod n)."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[(a + shift) % n][(b + shift) % n] = (rows[a][b] + shift) % n
+    return out
+
+
+def bad_table(case, shift):
+    rows = shifted(LOOP5_ROWS if case == "associativity" else S3_ROWS, shift)
+    at = lambda x: (x + shift) % len(rows)  # noqa: E731
+    row = rows[at(4)]
+    if case == "short row":
+        del row[-1]
+    elif case in ("non-int", "negative", "too large"):
+        row[at(2)] = {"non-int": 1.5, "negative": -1, "too large": len(rows)}[case]
+    elif case == "first bad entry":
+        row[1], row[3] = -1, 1.5
+        del rows[at(5)][-1]
+    elif case == "no identity":
+        ident = rows[at(0)]
+        ident[at(1)], ident[at(2)] = ident[at(2)], ident[at(1)]
+    elif case == "row":
+        row[at(2)] = row[at(3)]
+    elif case == "column":
+        row[at(2)], row[at(4)] = row[at(4)], row[at(2)]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "case, shift, message",
+    [
+        ("short row", 0, "row 4 has length 5, expected 6"),
+        ("short row", 2, "row 0 has length 5, expected 6"),
+        ("non-int", 0, "row 4 holds entry 1.5 outside 0..5"),
+        ("non-int", 2, "row 0 holds entry 1.5 outside 0..5"),
+        ("negative", 0, "row 4 holds entry -1 outside 0..5"),
+        ("negative", 2, "row 0 holds entry -1 outside 0..5"),
+        ("too large", 0, "row 4 holds entry 6 outside 0..5"),
+        ("too large", 2, "row 0 holds entry 6 outside 0..5"),
+        ("first bad entry", 0, "row 4 holds entry -1 outside 0..5"),
+        ("first bad entry", 2, "row 0 holds entry -1 outside 0..5"),
+        ("no identity", 0, "table has no identity element"),
+        ("no identity", 2, "table has no identity element"),
+        ("row", 0, "row 4 is not a permutation of 0..5"),
+        ("row", 2, "row 2 is not a permutation of 0..5"),
+        ("column", 0, "column 2 is not a permutation of 0..5"),
+        ("column", 2, "column 2 is not a permutation of 0..5"),
+        ("associativity", 0, "associativity fails at triple (1, 1, 2)"),
+        ("associativity", 2, "associativity fails at triple (1, 1, 2)"),
+    ],
+)
+def test_from_cayley_rejection_messages(case, shift, message):
+    with pytest.raises(NotAGroup) as err:
+        from_cayley(bad_table(case, shift))
+    assert str(err.value) == message
+
+
+def cayley_text(rows):
+    return f"{len(rows)}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "case, shift, message",
+    [
+        ("token", 0, "cayley file row is not integers: '4 2 1.5 5 0 3'"),
+        ("token", 2, "cayley file row is not integers: '2 5 0 4 1.5 1'"),
+        ("word", 0, "cayley file row is not integers: 'x 2 1 5 0 3'"),
+        ("word", 2, "cayley file row is not integers: '2 5 x 4 3 1'"),
+        ("short", 0, "cayley file row has 5 entries, expected 6"),
+        ("short", 2, "cayley file row has 5 entries, expected 6"),
+    ],
+)
+def test_load_cayley_rejection_messages(case, shift, message):
+    rows = [list(map(str, r)) for r in shifted(S3_ROWS, shift)]
+    at = lambda x: (x + shift) % 6  # noqa: E731
+    row = rows[at(4)]
+    if case == "token":
+        row[at(2)] = "1.5"
+    elif case == "word":
+        row[at(0)] = "x"
+    else:
+        row.pop()
+    with pytest.raises(NotAGroup) as err:
+        load_cayley(cayley_text(rows))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "cayley file holds no data"),
+        ("# only a comment\n", "cayley file holds no data"),
+        ("x\n", "cayley file order line is not an integer: 'x'"),
+        ("0\n", "cayley file order must be positive, got 0"),
+        ("2\n0 1\n", "cayley file has 1 rows, expected 2"),
+        ("1\n0\n0\n", "cayley file has 2 rows, expected 1"),
+    ],
+)
+def test_load_cayley_rejects_a_malformed_file(text, message):
+    with pytest.raises(NotAGroup) as err:
+        load_cayley(text)
+    assert str(err.value) == message

@@ -9,6 +9,7 @@ from cdlat import evaluate, named_group
 from cdlat.corpus import universal_corpus_specs
 
 import property_suites as ps
+from bruteforce import brute_subgroup_masks, brute_subgroup_masks_within
 
 SPOT_GROUPS = [
     "C12",
@@ -65,11 +66,28 @@ def test_wreath_centralizer_formulas(spec):
     ps.assert_wreath_centralizer_formulas(evaluate(spec))
 
 
-# the subset-filtration oracle is combinatorial in the order: groups up to
-# order 24 are its full practical scope
-def test_enumeration_matches_filtration_up_to_24():
+# the adjoin-one-element oracle grows every subgroup from {1} by naive
+# closure; subset filtration costs C(n-1, d-1) per divisor d, so it only
+# cross-checks that oracle where it is cheap
+def test_adjoin_oracle_matches_filtration_up_to_12():
+    checked = 0
     for spec in universal_corpus_specs():
-        ps.assert_enumeration_matches_filtration(evaluate(spec))
+        g = evaluate(spec)
+        if g.order <= 12:
+            full = (1 << g.order) - 1
+            assert brute_subgroup_masks_within(g, full) == brute_subgroup_masks(g), spec
+            checked += 1
+    assert checked >= 20
+
+
+def test_enumeration_matches_the_adjoin_oracle_over_the_corpus():
+    for spec in universal_corpus_specs():
+        ps.assert_enumeration_matches_adjoin_oracle(evaluate(spec))
+
+
+@pytest.mark.parametrize("spec", ["corpus:g32", "C4 wr C2", "C6 wr C2", "D8 x D8"])
+def test_enumeration_matches_the_adjoin_oracle_past_the_corpus(spec):
+    ps.assert_enumeration_matches_adjoin_oracle(evaluate(spec))
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,6 +29,7 @@ from cdlat.corpus import (
     universal_corpus_specs,
 )
 from cdlat.specparse import evaluate
+from cdlat import subgroups
 from cdlat.subgroups import replay_subgroups
 
 from bruteforce import (
@@ -332,3 +333,36 @@ def test_enumeration_resumes_after_the_subgroup_cap(spec):
         got = [(h.mask, h.generators()) for h in all_subgroups(g)]
         assert got == want, cap
         assert "discovery" not in g._cache or not g._cache["discovery"]
+
+
+@pytest.mark.parametrize("spec", ["C2 x C4", "D8 wr C2"])
+def test_replay_after_the_enumeration_reads_its_discovery_order(spec, monkeypatch):
+    # both groups are their own top CD member, so the replay walks all of G;
+    # in C2 x C4 it stops before the last subgroup the enumeration finds
+    def members(g, **caps):
+        return [(m.subgroup.mask, m.subgroup.generators()) for m in cd_lattice(g, **caps).members]
+
+    lattice_first = fresh_group(spec)
+    want = members(lattice_first)
+    full = (1 << lattice_first.order) - 1
+    masks = [mask for mask, _ in want]
+    _, discovered = replay_subgroups(lattice_first, full, masks)
+    all_subgroups(lattice_first)
+
+    enumeration_first = fresh_group(spec)
+    all_subgroups(enumeration_first)
+
+    def no_discovery(*args):
+        raise AssertionError("the replay walked the subgroups again")
+
+    monkeypatch.setattr(subgroups, "_discover", no_discovery)
+    subs, count = replay_subgroups(enumeration_first, full, masks)
+    assert ([(h.mask, h.generators()) for h in subs], count) == (want, discovered)
+    # --max-subgroups caps the same count in either order
+    with pytest.raises(SubgroupCapExceeded):
+        cd_lattice(enumeration_first, max_subgroups=discovered - 1)
+    assert members(enumeration_first, max_subgroups=discovered) == want
+    with pytest.raises(SubgroupCapExceeded):
+        cd_lattice(lattice_first, max_subgroups=discovered - 1)
+    for g in (lattice_first, enumeration_first):
+        assert not g._cache["discovery"]
