@@ -40,6 +40,7 @@ from .subgroups import (
     closure,
     full_subgroup,
     join_subgroups,
+    lattice_join,
     normal_closure,
     normalizer,
     product_set_mask,
@@ -544,13 +545,14 @@ def _check_measure_lemmas(g: Group):
             return _failed("m(H) exceeds m(C(H))", [h, c])
         if meas[h.mask] == meas[c.mask] and cents[c.mask].mask != h.mask:
             return _failed("equal measures but H != C(C(H))", [h, c])
+    join_of = lattice_join(subs)
     pairs = 0
     for i, h in enumerate(subs):
         ch = cents[h.mask]
-        for k in subs[i:]:
+        for j, k in enumerate(subs[i:], i):
             pairs += 1
             inter_mask = h.mask & k.mask
-            join = join_subgroups(h, k)
+            join = join_of(i, j)
             lhs = meas[h.mask] * meas[k.mask]
             rhs = meas[join.mask] * meas[inter_mask]
             if lhs > rhs:

@@ -4,7 +4,7 @@ normalizers, normal closures and subnormal defect."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EnumerationLimitExceeded, SubgroupCapExceeded
 from .groups import DEFAULT_ORDER_CAP, Group
@@ -103,15 +103,37 @@ def full_subgroup(g: Group) -> Subgroup:
     return cached
 
 
-def _extend(table, mask: int, elems: list[int], gens: list[int], g: int) -> int:
+def _extend(
+    table, inv, mask: int, elems: list[int], gens: list[int], g: int
+) -> tuple[int, int]:
     """Dimino step: close the subgroup H = (mask, gens) with one new
-    generator g, reading products from the group's table.  `elems` lists
-    H's elements and is only read.  Returns the mask of <H, g>, a union of
-    right cosets H*r."""
-    if mask >> g & 1:
-        return mask
+    generator g, reading products from the group's table and inverses
+    from `inv`.  `elems` lists H's elements and is only read.
+
+    Returns the mask of <H, g>, a union of right cosets H*r, and the mask
+    of H u HgH u Hg^-1H, every y of which has <H, y> = <H, g>.  The first
+    walk fills the right cosets that g and g^-1 reach through H's
+    generators alone, which make up that double-coset class; the second
+    goes on from their products with g, through g as well.  Each coset is
+    filled once, as in a single walk."""
+    gi = inv[g]
+    reps = [g] if gi == g else [g, gi]
+    qi = 0
+    while qi < len(reps):
+        r = reps[qi]
+        qi += 1
+        if mask >> r & 1:
+            continue
+        for h in elems:
+            mask |= 1 << table[h][r]
+        row_r = table[r]
+        for s in gens:
+            t = row_r[s]
+            if not mask >> t & 1:
+                reps.append(t)
+    dclass = mask
     all_gens = gens + [g]
-    reps = [g]
+    reps = [table[r][g] for r in reps]
     qi = 0
     while qi < len(reps):
         r = reps[qi]
@@ -125,7 +147,7 @@ def _extend(table, mask: int, elems: list[int], gens: list[int], g: int) -> int:
             t = row_r[s]
             if not mask >> t & 1:
                 reps.append(t)
-    return mask
+    return mask, dclass
 
 
 def closure(g: Group, seed: Iterable[int]) -> Subgroup:
@@ -136,7 +158,7 @@ def closure(g: Group, seed: Iterable[int]) -> Subgroup:
         if not 0 <= x < g.order:
             raise ValueError(f"seed index {x} outside 0..{g.order - 1}")
         if not mask >> x & 1:
-            mask = _extend(g.table, mask, bits_of(mask), gens, x)
+            mask, _ = _extend(g.table, g._inv, mask, bits_of(mask), gens, x)
             gens.append(x)
     return Subgroup(g, mask, gens=tuple(gens))
 
@@ -150,9 +172,30 @@ def join_subgroups(h: Subgroup, k: Subgroup) -> Subgroup:
     gens = list(h.generators())
     for s in k.generators():
         if not mask >> s & 1:
-            mask = _extend(g.table, mask, bits_of(mask), gens, s)
+            mask, _ = _extend(g.table, g._inv, mask, bits_of(mask), gens, s)
             gens.append(s)
     return Subgroup(g, mask, gens=tuple(gens))
+
+
+def lattice_join(subs: Sequence[Subgroup]) -> Callable[[int, int], Subgroup]:
+    """The join of subs[i] and subs[j], for every subgroup of a group
+    sorted by order, as all_subgroups returns them.  above[i] is the
+    bitset of the subgroups that contain subs[i], so the join is the first
+    subgroup in both bitsets: one containment test per pair up front, then
+    one AND per join."""
+    masks = [h.mask for h in subs]
+    above = [0] * len(masks)
+    for j, m in enumerate(masks):
+        outside = ~m
+        for i in range(j + 1):
+            if not masks[i] & outside:
+                above[i] |= 1 << j
+
+    def join(i: int, j: int) -> Subgroup:
+        both = above[i] & above[j]
+        return subs[(both & -both).bit_length() - 1]
+
+    return join
 
 
 def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:
@@ -172,7 +215,7 @@ def _greedy_generators(g: Group, mask: int) -> tuple[int, ...]:
     while cur != mask:
         left = mask & ~cur
         x = (left & -left).bit_length() - 1
-        cur = _extend(g.table, cur, bits_of(cur), gens, x)
+        cur, _ = _extend(g.table, g._inv, cur, bits_of(cur), gens, x)
         gens.append(x)
     return tuple(gens)
 
@@ -183,14 +226,18 @@ def _discover(
     """The discovery BFS over the subgroups of the subgroup `within`.
 
     Seeds with every cyclic subgroup, then closes the collection under
-    joins with cyclic subgroups (one coset representative per coset, which
-    realizes the pairwise-join fixpoint).  Returns `found`, which maps each
-    subgroup mask to the generators it was first reached by, in discovery
-    order, and how many subgroups were discovered up to the last target
-    (all of them, with no targets).  Reports print those generators, so
-    the traversal order is part of the output.  Elements are tried in g's
-    index order, so for L <= H the run inside H records the same found[L]
-    as the run inside G.
+    joins with cyclic subgroups, which realizes the pairwise-join
+    fixpoint.  Each popped K is joined with the elements x outside it in
+    index order.  The Dimino step also returns the class KxK u Kx^-1K,
+    every y of which gives <K, y> = <K, x>, so those y are skipped: their
+    joins are already known, and skipping them adds and reorders nothing.
+
+    Returns `found`, which maps each subgroup mask to the generators it
+    was first reached by, in discovery order, and how many subgroups were
+    discovered up to the last target (all of them, with no targets).
+    Reports print those generators, so the traversal order is part of the
+    output.  Elements are tried in g's index order, so for L <= H the run
+    inside H records the same found[L] as the run inside G.
 
     Runs until every mask of `targets` is found or, with no targets, until
     nothing new appears.  The state is kept on g per `within`, and a later
@@ -206,7 +253,7 @@ def _discover(
     found, worklist = state["found"], state["worklist"]
     drain = not targets
     pending = {t for t in targets if t not in found}
-    table = g.table
+    table, inv = g.table, g._inv
     elements = bits_of(within)[1:]
     wi = state["pos"]
     while (drain or pending) and wi < len(worklist):
@@ -218,9 +265,8 @@ def _discover(
             for x in elements:
                 if covered >> x & 1:
                     continue
-                for h in elems:
-                    covered |= 1 << table[h][x]
-                new_mask = _extend(table, kmask, elems, gens, x)
+                new_mask, dclass = _extend(table, inv, kmask, elems, gens, x)
+                covered |= dclass
                 if new_mask in found:
                     continue
                 found[new_mask] = gens + [x]
@@ -395,7 +441,7 @@ def normal_closure(big: Subgroup, small: Subgroup) -> Subgroup:
         for k, ki in kgens:
             c = table[ki][row_s[k]]
             if not mask >> c & 1:
-                mask = _extend(table, mask, bits_of(mask), gens, c)
+                mask, _ = _extend(table, g._inv, mask, bits_of(mask), gens, c)
                 gens.append(c)
     return Subgroup(g, mask, gens=tuple(gens))
 

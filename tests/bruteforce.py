@@ -82,19 +82,28 @@ def brute_normalizer_mask(g: Group, hmask: int) -> int:
 
 
 def brute_closure_mask(g: Group, seed) -> int:
-    current = {0} | set(seed)
-    while True:
+    """Close {1} u seed under products, pair by pair.  Each round
+    multiplies the elements the last round found with every element so
+    far, on either side, until a round finds nothing new; so every
+    ordered pair of the result is multiplied once."""
+    rows = g.table
+    old: set[int] = set()
+    fresh = {0} | set(seed)
+    while fresh:
+        current = old | fresh
         new = set()
-        for a in current:
+        for a in fresh:
+            row_a = rows[a]
             for b in current:
-                p = g.mul(a, b)
-                if p not in current:
-                    new.add(p)
-        if not new:
-            break
-        current |= new
+                new.add(row_a[b])
+        for b in old:
+            row_b = rows[b]
+            for a in fresh:
+                new.add(row_b[a])
+        old = current
+        fresh = new - current
     mask = 0
-    for e in current:
+    for e in old:
         mask |= 1 << e
     return mask
 
@@ -208,3 +217,37 @@ def brute_permutation_table(g: Group) -> tuple[list[list[int]], list[int]]:
     # the inverse lists, at each point, the point that p sends there
     inv = [where[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in images]
     return rows, inv
+
+
+def brute_discovery(g: Group) -> list[tuple[int, tuple[int, ...]]]:
+    """The subgroups of g in the order the discovery BFS meets them, each
+    with the generators it is first reached by.  The cyclic subgroups come
+    first, in element order; then each subgroup K in turn is joined, by
+    naive closure, with one element x of each right coset Kx in element
+    order, and a new join is appended with K's generators plus x."""
+    n = g.order
+    rows = g.table
+    found = {1: ()}
+    for x in range(1, n):
+        found.setdefault(brute_closure_mask(g, [x]), (x,))
+    worklist = list(found)
+    full = (1 << n) - 1
+    wi = 0
+    while wi < len(worklist):
+        kmask = worklist[wi]
+        wi += 1
+        if kmask == full:
+            continue
+        gens = found[kmask]
+        members = [h for h in range(n) if kmask >> h & 1]
+        covered = kmask
+        for x in range(1, n):
+            if covered >> x & 1:
+                continue
+            for h in members:
+                covered |= 1 << rows[h][x]
+            joined = brute_closure_mask(g, gens + (x,))
+            if joined not in found:
+                found[joined] = gens + (x,)
+                worklist.append(joined)
+    return list(found.items())

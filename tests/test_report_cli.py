@@ -319,3 +319,15 @@ def test_compute_report_bytes_are_pinned(spec, tmp_path, capsys):
     assert main(["compute", spec, "--no-cache", "--json", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[spec]
     capsys.readouterr()
+
+
+# sha256 of `verify all corpus --json`: every check id, verdict, witness
+# and stat (subgroups_enumerated, pairs_checked) over the default corpus
+PINNED_VERIFY_CORPUS = "f46b17810a244357d365ed0e877a3ac8f46c669994c2dffa0af148f3674314d4"
+
+
+def test_verify_corpus_report_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["verify", "all", "corpus", "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_VERIFY_CORPUS
+    capsys.readouterr()

@@ -30,13 +30,14 @@ from cdlat.corpus import (
 )
 from cdlat.specparse import evaluate
 from cdlat import subgroups
-from cdlat.subgroups import replay_subgroups
+from cdlat.subgroups import bits_of, lattice_join, replay_subgroups
 
 from bruteforce import (
     brute_center_mask,
     brute_centralizer_mask,
     brute_closure_mask,
     brute_conjugate_mask,
+    brute_discovery,
     brute_normal_closure_mask,
     brute_normalizer_mask,
     brute_subgroup_masks,
@@ -278,6 +279,19 @@ def test_join_matches_brute_force_for_every_pair():
     assert pairs == 22325
 
 
+def test_lattice_join_matches_brute_force_for_every_pair():
+    pairs = 0
+    for g in pair_oracle_groups():
+        subs = all_subgroups(g)
+        join = lattice_join(subs)
+        for i, h in enumerate(subs):
+            for j, k in enumerate(subs):
+                pairs += 1
+                want = brute_closure_mask(g, bits_of(h.mask | k.mask))
+                assert join(i, j).mask == want, (g.name, h.mask, k.mask)
+    assert pairs == 22325
+
+
 def test_subnormal_defect_matches_brute_force_chain():
     for g in pair_oracle_groups():
         full = (1 << g.order) - 1
@@ -317,6 +331,17 @@ def test_replay_inside_every_subgroup_finds_the_enumeration_generators():
             assert got.generators() == h.generators(), (spec, h.mask)
             replays += 1
     assert replays == 2231
+
+
+def test_discovery_order_matches_the_plain_coset_search():
+    # the enumeration skips each tried element's double-coset class; the
+    # oracle tries one element of every right coset Kx and skips nothing
+    # else, and both must record the same subgroups, generators and order
+    for spec in ORACLE_SPECS + ("S5", "S3 x D8"):
+        g = evaluate(spec)
+        all_subgroups(g)
+        got = [(h.mask, h.generators()) for h in g._cache["discovery_order"]]
+        assert got == brute_discovery(g), spec
 
 
 @pytest.mark.parametrize("spec", ["S4", "D8 wr C2"])
