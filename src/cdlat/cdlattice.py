@@ -8,16 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EnumerationLimitExceeded, SubgroupCapExceeded, TooLargeForIso
+from .errors import EnumerationLimitExceeded, TooLargeForIso
 from .groups import Group
 from .subgroups import (
     DEFAULT_ENUM_LIMIT,
-    DEFAULT_SUBGROUP_CAP,
     Subgroup,
     bits_of,
     centralizer,
     element_centralizer,
-    replay_subgroups,
     subnormal_defect,
 )
 
@@ -29,14 +27,9 @@ def measure(g: Group, h: Subgroup) -> int:
     return h.order * centralizer(g, h).order
 
 
-def max_measure(
-    g: Group,
-    *,
-    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
-    max_order: int = DEFAULT_ENUM_LIMIT,
-) -> int:
+def max_measure(g: Group, *, max_order: int = DEFAULT_ENUM_LIMIT) -> int:
     """Largest measure over all subgroups of g."""
-    return cd_lattice(g, max_subgroups=max_subgroups, max_order=max_order).max_measure
+    return cd_lattice(g, max_order=max_order).max_measure
 
 
 def _maximal_centralizers(g: Group, within: int) -> tuple[int, list[tuple[int, int]]]:
@@ -108,42 +101,25 @@ class CDResult:
         raise KeyError(f"mask {mask:#x} is not a lattice member")
 
 
-def cd_lattice(
-    g: Group,
-    *,
-    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
-    max_order: int = DEFAULT_ENUM_LIMIT,
-) -> CDResult:
+def cd_lattice(g: Group, *, max_order: int = DEFAULT_ENUM_LIMIT) -> CDResult:
     """All subgroups of maximal measure, with Hasse cover edges, CL flags,
     normality/defect annotations and the centralizer pairing.
 
-    Members come from the centralizer closure; their generators are the
-    ones all_subgroups records, replayed inside the top member.
-    max_subgroups caps the subgroups that replay discovers.
+    Members come from the centralizer closure, as bare masks; the report
+    replays the generators all_subgroups records for them.
     """
     if g.order > max_order:
         raise EnumerationLimitExceeded(
             f"|{g.name}| = {g.order} exceeds enumeration limit {max_order}"
         )
-    # the caps apply to a cached result too
     cached = g._cache.get("cd_result")
     if cached is not None:
-        discovered, result = cached
-        if discovered > max_subgroups:
-            raise SubgroupCapExceeded(
-                f"more than {max_subgroups} subgroups in {g.name}"
-            )
-        return result
-    full_mask = (1 << g.order) - 1
-    best, pairs = _maximal_centralizers(g, full_mask)
+        return cached
+    best, pairs = _maximal_centralizers(g, (1 << g.order) - 1)
     mask_index = {m: i for i, (m, _) in enumerate(pairs)}
-    # CD(G) is a lattice: its largest member contains all the others
-    top = pairs[-1][0]
-    member_subs, discovered = replay_subgroups(
-        g, top, mask_index, max_subgroups=max_subgroups
-    )
     members = []
-    for h in member_subs:
+    for m in mask_index:
+        h = Subgroup(g, m)
         cent = centralizer(g, h).mask
         if cent not in mask_index:
             raise AssertionError(
@@ -166,7 +142,7 @@ def cd_lattice(
     result = CDResult(
         group=g, max_measure=best, members=tuple(members), hasse_edges=edges
     )
-    g._cache["cd_result"] = discovered, result
+    g._cache["cd_result"] = result
     return result
 
 
@@ -187,14 +163,9 @@ def _hasse_edges(masks: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def cl_subgroups(
-    g: Group,
-    *,
-    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
-    max_order: int = DEFAULT_ENUM_LIMIT,
-) -> tuple[Subgroup, ...]:
+def cl_subgroups(g: Group, *, max_order: int = DEFAULT_ENUM_LIMIT) -> tuple[Subgroup, ...]:
     """Members U of the lattice with Z(U) = C_G(U)."""
-    result = cd_lattice(g, max_subgroups=max_subgroups, max_order=max_order)
+    result = cd_lattice(g, max_order=max_order)
     return tuple(m.subgroup for m in result.members if m.is_centrally_large)
 
 

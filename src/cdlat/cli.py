@@ -140,15 +140,17 @@ def _cmd_compute(args) -> int:
             json_text = cache_get(cache_dir, key)
         if json_text is None or args.dot:
             group = evaluate(node, max_order=order_cap)
-            result = cd_lattice(
-                group, max_subgroups=args.max_subgroups, max_order=enum_limit
-            )
+            result = cd_lattice(group, max_order=enum_limit)
+            if json_text is None:
+                report = build_report(
+                    text, group, result, max_subgroups=args.max_subgroups
+                )
     except _CAP_ERRORS as exc:
         return _emit_error(args, exc, EXIT_CAP)
     except _INVALID_ERRORS as exc:
         return _emit_error(args, exc, EXIT_INVALID)
     if json_text is None:
-        json_text = report_json(build_report(text, group, result))
+        json_text = report_json(report)
         if key is not None:
             cache_put(cache_dir, key, json_text)
     if args.json:
@@ -184,8 +186,8 @@ def _cmd_verify(args) -> int:
     check = args.check_flag or args.check
     if check != "all" and check not in check_ids():
         known = ", ".join(check_ids())
-        print(f"error: unknown check {check!r} (known: {known})", file=sys.stderr)
-        return EXIT_INVALID
+        exc = ValueError(f"unknown check {check!r} (known: {known})")
+        return _emit_error(args, exc, EXIT_INVALID)
     try:
         if args.target == "corpus":
             pairs = default_pairs(None if check == "all" else check)

@@ -16,19 +16,33 @@ from pathlib import Path
 from .cdlattice import CDResult
 from .checks import Verdict
 from .groups import Group
+from .subgroups import DEFAULT_SUBGROUP_CAP, replay_subgroups
 
 ENGINE_VERSION = "0.1.0"
 
 
-def build_report(spec: str, group: Group, result: CDResult) -> dict:
-    """Report dictionary for one lattice computation."""
+def build_report(
+    spec: str,
+    group: Group,
+    result: CDResult,
+    *,
+    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
+) -> dict:
+    """Report dictionary for one lattice computation.
+
+    Each member's generators are the ones all_subgroups records for it,
+    replayed inside the top member (CD(G) is a lattice, so the last member
+    contains the others); max_subgroups caps the subgroups that replay
+    discovers."""
+    masks = result.member_masks()
+    replayed, _ = replay_subgroups(group, masks[-1], masks, max_subgroups=max_subgroups)
     members = []
-    for m in result.members:
+    for m, h in zip(result.members, replayed):
         members.append(
             {
                 "order": m.subgroup.order,
                 "elements": m.subgroup.elements(),
-                "generators": sorted(m.subgroup.generators()),
+                "generators": sorted(h.generators()),
                 "is_normal": m.is_normal,
                 "defect": m.defect,
                 "is_centrally_large": m.is_centrally_large,

@@ -21,13 +21,6 @@ def resolve_caps(max_order: int | None) -> tuple[int, int]:
     return max_order, max_order
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def bits_of(mask: int) -> list[int]:
     out = []
     while mask:
@@ -65,9 +58,6 @@ class Subgroup:
         if self._gens is None:
             self._gens = _greedy_generators(self.ambient, self.mask)
         return self._gens
-
-    def contains(self, other: "Subgroup") -> bool:
-        return other.mask & ~self.mask == 0
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> x & 1)
@@ -240,47 +230,49 @@ def _discover(
     inside H records the same found[L] as the run inside G.
 
     Runs until every mask of `targets` is found or, with no targets, until
-    nothing new appears.  The state is kept on g per `within`, and a later
-    call resumes at the start of the pop this one stopped or raised in
-    (re-running a pop appends nothing twice).  Raises SubgroupCapExceeded
-    when more than max_subgroups subgroups are discovered up to the last
-    target (up to the end, with no targets).
+    nothing new appears.  Raises SubgroupCapExceeded when more than
+    max_subgroups subgroups are discovered up to the last target (up to
+    the end, with no targets).
     """
-    states = g._cache.setdefault("discovery", {})
-    state = states.get(within)
-    if state is None:
-        state = states[within] = _seed_discovery(g.table, within)
-    found, worklist = state["found"], state["worklist"]
-    drain = not targets
-    pending = {t for t in targets if t not in found}
     table, inv = g.table, g._inv
     elements = bits_of(within)[1:]
-    wi = state["pos"]
+    # the trivial and every cyclic subgroup, in generator order
+    found: dict[int, list[int]] = {1: []}
+    for x in elements:
+        mask = 1
+        y = x
+        while y != 0:
+            mask |= 1 << y
+            y = table[y][x]
+        found.setdefault(mask, [x])
+    worklist = list(found)
+    drain = not targets
+    pending = {t for t in targets if t not in found}
+    wi = 0
     while (drain or pending) and wi < len(worklist):
         kmask = worklist[wi]
-        if kmask != within:
-            gens = found[kmask]
-            elems = bits_of(kmask)
-            covered = kmask
-            for x in elements:
-                if covered >> x & 1:
-                    continue
-                new_mask, dclass = _extend(table, inv, kmask, elems, gens, x)
-                covered |= dclass
-                if new_mask in found:
-                    continue
-                found[new_mask] = gens + [x]
-                worklist.append(new_mask)
-                if len(found) > max_subgroups:
-                    raise SubgroupCapExceeded(
-                        f"more than {max_subgroups} subgroups in {g.name}"
-                    )
-                pending.discard(new_mask)
-                if not (drain or pending):
-                    break
-        if drain or pending:
-            wi += 1
-            state["pos"] = wi
+        wi += 1
+        if kmask == within:
+            continue
+        gens = found[kmask]
+        elems = bits_of(kmask)
+        covered = kmask
+        for x in elements:
+            if covered >> x & 1:
+                continue
+            new_mask, dclass = _extend(table, inv, kmask, elems, gens, x)
+            covered |= dclass
+            if new_mask in found:
+                continue
+            found[new_mask] = gens + [x]
+            worklist.append(new_mask)
+            if len(found) > max_subgroups:
+                raise SubgroupCapExceeded(
+                    f"more than {max_subgroups} subgroups in {g.name}"
+                )
+            pending.discard(new_mask)
+            if not (drain or pending):
+                break
     if pending:
         raise ValueError(f"targets are not subgroups of {within:#x} in {g.name}")
     if drain:
@@ -290,20 +282,6 @@ def _discover(
     if discovered > max_subgroups:
         raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
     return found, discovered
-
-
-def _seed_discovery(table, within: int) -> dict:
-    """The trivial and every cyclic subgroup of `within`, in generator order."""
-    found: dict[int, list[int]] = {1: []}
-    for x in bits_of(within)[1:]:
-        mask = 1
-        y = x
-        while y != 0:
-            mask |= 1 << y
-            y = table[y][x]
-        if mask not in found:
-            found[mask] = [x]
-    return {"found": found, "worklist": list(found), "pos": 0}
 
 
 def all_subgroups(
@@ -321,13 +299,9 @@ def all_subgroups(
         )
     cached = g._cache.get("subgroups")
     if cached is None:
-        full_mask = (1 << n) - 1
-        found, _ = _discover(g, full_mask, (), max_subgroups)
-        # the drained loop state goes; its discovery order stays for replays
-        order = tuple(Subgroup(g, mask, gens=tuple(gens)) for mask, gens in found.items())
-        g._cache["discovery_order"] = order
-        cached = g._cache["subgroups"] = tuple(sorted(order, key=Subgroup.key))
-        del g._cache["discovery"][full_mask]
+        found, _ = _discover(g, (1 << n) - 1, (), max_subgroups)
+        subs = (Subgroup(g, mask, gens=tuple(gens)) for mask, gens in found.items())
+        cached = g._cache["subgroups"] = tuple(sorted(subs, key=Subgroup.key))
     elif len(cached) > max_subgroups:
         raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
     return cached
@@ -345,18 +319,8 @@ def replay_subgroups(
     BFS inside `within` alone; and the number of subgroups that BFS
     discovers up to the last of them, which max_subgroups caps."""
     masks = list(masks)
-    order = g._cache.get("discovery_order")
-    if order is None or within != (1 << g.order) - 1:
-        found, discovered = _discover(g, within, masks, max_subgroups)
-        return [Subgroup(g, m, gens=tuple(found[m])) for m in masks], discovered
-    # all_subgroups(g) has run this BFS to the end: read it back
-    position = {h.mask: i for i, h in enumerate(order)}
-    if any(m not in position for m in masks):
-        raise ValueError(f"targets are not subgroups of {within:#x} in {g.name}")
-    discovered = 1 + max(position[m] for m in masks)
-    if discovered > max_subgroups:
-        raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
-    return [order[position[m]] for m in masks], discovered
+    found, discovered = _discover(g, within, masks, max_subgroups)
+    return [Subgroup(g, m, gens=tuple(found[m])) for m in masks], discovered
 
 
 # ---------------------------------------------------------------------------

@@ -201,12 +201,13 @@ def test_hasse_is_transitive_reduction():
 
 def test_cached_results_respect_the_caps():
     g = named_group("D", 8)
-    cd_lattice(g)  # caches the subgroup set and the lattice
+    cd_lattice(g)  # caches the lattice
+    all_subgroups(g)  # and the subgroup set
     for call in (all_subgroups, cd_lattice, max_measure):
         with pytest.raises(EnumerationLimitExceeded):
             call(g, max_order=4)
-        with pytest.raises(SubgroupCapExceeded):
-            call(g, max_subgroups=2)
+    with pytest.raises(SubgroupCapExceeded):
+        all_subgroups(g, max_subgroups=2)
 
 
 # the 13 specs whose compute reports were pinned when subgroups became bare
@@ -289,11 +290,12 @@ def test_max_subgroups_caps_the_subgroups_the_replay_discovers():
     # D12 wr C2: CD(W) lies inside a proper subgroup, whose replay meets
     # far fewer subgroups than the enumeration of W
     g = fresh_group("D12 wr C2")
+    result = cd_lattice(g)
     with pytest.raises(SubgroupCapExceeded):
-        cd_lattice(g, max_subgroups=10)
-    result = cd_lattice(g, max_subgroups=100)
+        build_report("D12 wr C2", g, result, max_subgroups=10)
+    report = build_report("D12 wr C2", g, result, max_subgroups=100)
     with pytest.raises(SubgroupCapExceeded):
-        cd_lattice(g, max_subgroups=10)  # cached, still capped
+        build_report("D12 wr C2", g, result, max_subgroups=10)  # still capped
     with pytest.raises(SubgroupCapExceeded):
         all_subgroups(g, max_subgroups=100)
-    assert result.member_masks() == cd_lattice(fresh_group("D12 wr C2")).member_masks()
+    assert report == build_report("D12 wr C2", g, result)

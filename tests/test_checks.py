@@ -2,8 +2,10 @@
 
 import pytest
 
-from cdlat import check_ids, default_pairs, run_check
+from cdlat import check_ids, default_pairs, run_check, subgroups
 from cdlat.checks import CHECKS
+
+from bruteforce import fresh_group
 
 
 def test_registry_ids_are_stable():
@@ -142,3 +144,19 @@ def test_default_pairs_cover_all_checks():
     assert covered == set(check_ids())
     only = default_pairs("sym-cd")
     assert only == [("sym-cd", "S4"), ("sym-cd", "S5")]
+
+
+def test_cd_sublattice_never_searches_inside_a_proper_subgroup(monkeypatch):
+    # CD(C6 wr C2) = CD(B) lies in the base B; the check enumerates the
+    # wreath and reads the lattice off the centralizers, so its only
+    # discovery search runs over the whole group
+    within_seen = []
+    discover = subgroups._discover
+
+    def spy(g, within, *args):
+        within_seen.append((within, (1 << g.order) - 1))
+        return discover(g, within, *args)
+
+    monkeypatch.setattr(subgroups, "_discover", spy)
+    assert run_check("cd-sublattice", fresh_group("C6 wr C2")).status == "passed"
+    assert within_seen and all(within == full for within, full in within_seen)

@@ -236,6 +236,28 @@ def test_cli_max_subgroups_counts_the_replayed_subgroups(capsys):
     capsys.readouterr()
 
 
+def test_cli_max_subgroups_error_json_is_pinned(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    argv = ["compute", "D12 wr C2", "--no-cache", "--max-subgroups", "20"]
+    assert main(argv + ["--json", str(out)]) == 3
+    assert out.read_text() == (
+        "{\n"
+        '  "error": {\n'
+        '    "message": "more than 20 subgroups in D12 wr C2",\n'
+        '    "type": "SubgroupCapExceeded"\n'
+        "  }\n"
+        "}\n"
+    )
+    capsys.readouterr()
+
+
+def test_cli_verify_unknown_check_writes_the_error_json(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    assert main(["verify", "nosuch", "C2", "--json", str(out)]) == 4
+    assert "error: unknown check 'nosuch' (known: " in capsys.readouterr().err
+    assert "'nosuch'" in json.loads(out.read_text())["error"]["message"]
+
+
 @pytest.mark.parametrize("spec", ["corpus:ut52", "cayley:g.cay"])
 def test_cli_fixed_order_atoms_obey_max_order(spec, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -310,6 +332,10 @@ PINNED_REPORTS = {
     "corpus:g32": "ac095cb808558e41a4200e38ab90f08d98ad0f28f5ce7829553da767e7cf6fc2",
     "D12 wr C2": "455f4ed21b0cab4d47f1acde3cd67bd9301a9903ca1206c4cd36868b25c899bf",
     "UT(4,2) x C2": "a78cac56e30babd06d8a40d7509ee98d43b4242064fc9520ea0cdef408a2f242",
+    # G is its own top member: the report's replay walks most of G
+    "D8 wr C2": "42e10162f448267f1d6477e7d14ab838c67b9a1c10199aaf9f72027a68300667",
+    "S5": "f2139bbfe76fc136f705a3b7e080651c0d0bed357f5363bccb7ebbdaee740d10",
+    "D8 x D8 x C2": "a02bd55ba71be9f173df048cdcfbcb8eb70c507bc21fb95ac073801e88de5733",
 }
 
 

@@ -28,6 +28,7 @@ from cdlat.corpus import (
     corpus_group,
     universal_corpus_specs,
 )
+from cdlat.report import build_report
 from cdlat.specparse import evaluate
 from cdlat import subgroups
 from cdlat.subgroups import bits_of, lattice_join, replay_subgroups
@@ -339,55 +340,42 @@ def test_discovery_order_matches_the_plain_coset_search():
     # else, and both must record the same subgroups, generators and order
     for spec in ORACLE_SPECS + ("S5", "S3 x D8"):
         g = evaluate(spec)
-        all_subgroups(g)
-        got = [(h.mask, h.generators()) for h in g._cache["discovery_order"]]
+        full = (1 << g.order) - 1
+        found, _ = subgroups._discover(g, full, (), subgroups.DEFAULT_SUBGROUP_CAP)
+        got = [(mask, tuple(gens)) for mask, gens in found.items()]
         assert got == brute_discovery(g), spec
 
 
 @pytest.mark.parametrize("spec", ["S4", "D8 wr C2"])
-def test_enumeration_resumes_after_the_subgroup_cap(spec):
+def test_enumeration_after_the_subgroup_cap_matches_a_fresh_run(spec):
     want = [(h.mask, h.generators()) for h in all_subgroups(fresh_group(spec))]
     g = fresh_group(spec)
     seeds = len({closure(g, [x]).mask for x in range(g.order)})
     # caps just past the cyclic seeds stop the first joins part-way through
-    # a pop; the resumed enumeration must re-run that pop, not skip it
+    # a pop; a capped search must leave nothing behind for the next one
     for cap in range(seeds, seeds + 8):
         g = fresh_group(spec)
         with pytest.raises(SubgroupCapExceeded):
             all_subgroups(g, max_subgroups=cap)
         got = [(h.mask, h.generators()) for h in all_subgroups(g)]
         assert got == want, cap
-        assert "discovery" not in g._cache or not g._cache["discovery"]
 
 
 @pytest.mark.parametrize("spec", ["C2 x C4", "D8 wr C2"])
-def test_replay_after_the_enumeration_reads_its_discovery_order(spec, monkeypatch):
+def test_report_caps_the_replay_at_the_last_member(spec):
     # both groups are their own top CD member, so the replay walks all of G;
     # in C2 x C4 it stops before the last subgroup the enumeration finds
-    def members(g, **caps):
-        return [(m.subgroup.mask, m.subgroup.generators()) for m in cd_lattice(g, **caps).members]
-
-    lattice_first = fresh_group(spec)
-    want = members(lattice_first)
-    full = (1 << lattice_first.order) - 1
-    masks = [mask for mask, _ in want]
-    _, discovered = replay_subgroups(lattice_first, full, masks)
-    all_subgroups(lattice_first)
-
-    enumeration_first = fresh_group(spec)
-    all_subgroups(enumeration_first)
-
-    def no_discovery(*args):
-        raise AssertionError("the replay walked the subgroups again")
-
-    monkeypatch.setattr(subgroups, "_discover", no_discovery)
-    subs, count = replay_subgroups(enumeration_first, full, masks)
-    assert ([(h.mask, h.generators()) for h in subs], count) == (want, discovered)
-    # --max-subgroups caps the same count in either order
+    g = fresh_group(spec)
+    result = cd_lattice(g)
+    full = (1 << g.order) - 1
+    assert result.member_masks()[-1] == full
+    _, discovered = replay_subgroups(g, full, result.member_masks())
+    # the cap counts the same after the enumeration of G has run
+    subs = all_subgroups(g)
+    if spec == "C2 x C4":
+        assert discovered < len(subs)
     with pytest.raises(SubgroupCapExceeded):
-        cd_lattice(enumeration_first, max_subgroups=discovered - 1)
-    assert members(enumeration_first, max_subgroups=discovered) == want
-    with pytest.raises(SubgroupCapExceeded):
-        cd_lattice(lattice_first, max_subgroups=discovered - 1)
-    for g in (lattice_first, enumeration_first):
-        assert not g._cache["discovery"]
+        build_report(spec, g, result, max_subgroups=discovered - 1)
+    assert build_report(spec, g, result, max_subgroups=discovered) == build_report(
+        spec, g, result
+    )
