@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EnumerationLimitExceeded, TooLargeForIso
+from .errors import TooLargeForIso
 from .groups import Group
 from .subgroups import (
-    DEFAULT_ENUM_LIMIT,
     Subgroup,
     bits_of,
+    canonical_key,
     centralizer,
     element_centralizer,
     subnormal_defect,
@@ -27,9 +27,9 @@ def measure(g: Group, h: Subgroup) -> int:
     return h.order * centralizer(g, h).order
 
 
-def max_measure(g: Group, *, max_order: int = DEFAULT_ENUM_LIMIT) -> int:
+def max_measure(g: Group) -> int:
     """Largest measure over all subgroups of g."""
-    return cd_lattice(g, max_order=max_order).max_measure
+    return cd_lattice(g).max_measure
 
 
 def _maximal_centralizers(g: Group, within: int) -> tuple[int, list[tuple[int, int]]]:
@@ -64,7 +64,7 @@ def _maximal_centralizers(g: Group, within: int) -> tuple[int, list[tuple[int, i
             pairs = [(m, cent)]
         elif value == best:
             pairs.append((m, cent))
-    pairs.sort(key=lambda p: (p[0].bit_count(), bits_of(p[0])))
+    pairs.sort(key=lambda p: canonical_key(p[0]))
     return best, pairs
 
 
@@ -101,26 +101,22 @@ class CDResult:
         raise KeyError(f"mask {mask:#x} is not a lattice member")
 
 
-def cd_lattice(g: Group, *, max_order: int = DEFAULT_ENUM_LIMIT) -> CDResult:
+def cd_lattice(g: Group) -> CDResult:
     """All subgroups of maximal measure, with Hasse cover edges, CL flags,
     normality/defect annotations and the centralizer pairing.
 
-    Members come from the centralizer closure, as bare masks; the report
-    replays the generators all_subgroups records for them.
+    Members come from the centralizer closure, as bare masks, so no
+    subgroup is enumerated and no order limit applies; the report replays
+    the generators all_subgroups records for them.
     """
-    if g.order > max_order:
-        raise EnumerationLimitExceeded(
-            f"|{g.name}| = {g.order} exceeds enumeration limit {max_order}"
-        )
     cached = g._cache.get("cd_result")
     if cached is not None:
         return cached
     best, pairs = _maximal_centralizers(g, (1 << g.order) - 1)
     mask_index = {m: i for i, (m, _) in enumerate(pairs)}
     members = []
-    for m in mask_index:
+    for m, cent in pairs:
         h = Subgroup(g, m)
-        cent = centralizer(g, h).mask
         if cent not in mask_index:
             raise AssertionError(
                 f"centralizer of a member is not a member in {g.name}"
@@ -149,23 +145,21 @@ def cd_lattice(g: Group, *, max_order: int = DEFAULT_ENUM_LIMIT) -> CDResult:
 def _hasse_edges(masks: list[int]) -> tuple[tuple[int, int], ...]:
     # pairwise containment, then transitive reduction
     m = len(masks)
-    below = [
-        [i != j and masks[i] & ~masks[j] == 0 for j in range(m)] for i in range(m)
-    ]
+    leq = _leq_matrix(masks)
     edges = []
     for i in range(m):
         for j in range(m):
-            if not below[i][j]:
+            if i == j or not leq[i][j]:
                 continue
-            if any(below[i][k] and below[k][j] for k in range(m)):
+            if any(leq[i][k] and leq[k][j] for k in range(m) if k != i and k != j):
                 continue
             edges.append((i, j))
     return tuple(edges)
 
 
-def cl_subgroups(g: Group, *, max_order: int = DEFAULT_ENUM_LIMIT) -> tuple[Subgroup, ...]:
+def cl_subgroups(g: Group) -> tuple[Subgroup, ...]:
     """Members U of the lattice with Z(U) = C_G(U)."""
-    result = cd_lattice(g, max_order=max_order)
+    result = cd_lattice(g)
     return tuple(m.subgroup for m in result.members if m.is_centrally_large)
 
 

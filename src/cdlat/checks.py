@@ -12,7 +12,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .cdlattice import CDResult, cd_lattice, cd_of_subgroup, measure
+from .cdlattice import cd_lattice, cd_of_subgroup, measure
 from .corpus import (
     ENUMERABLE_WREATH_SPECS,
     G32_GENS,
@@ -64,14 +64,6 @@ class Verdict:
     stats: dict = field(default_factory=dict)
     elapsed: float = 0.0  # wall seconds; excluded from serialized reports
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "passed"
-
-    @property
-    def failed(self) -> bool:
-        return self.status == "failed"
-
 
 def _passed(**stats) -> tuple[str, None, dict]:
     return "passed", None, stats
@@ -107,10 +99,6 @@ def _enumerable(g: Group) -> bool:
     return g.order <= _CAPS.get()[1]
 
 
-def _lattice(g: Group) -> CDResult:
-    return cd_lattice(g, max_order=_CAPS.get()[1])
-
-
 def _subgroups(g: Group) -> tuple[Subgroup, ...]:
     return all_subgroups(g, max_order=_CAPS.get()[1])
 
@@ -133,7 +121,7 @@ def _is_prime(n: int) -> bool:
 def _check_cd_sublattice(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
-    result = _lattice(g)
+    result = cd_lattice(g)
     subs = _subgroups(g)
     members = [m.subgroup for m in result.members]
     member_masks = {h.mask for h in members}
@@ -163,7 +151,7 @@ def _check_cd_sublattice(g: Group):
 def _check_cd_subnormal(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
-    result = _lattice(g)
+    result = cd_lattice(g)
     for m in result.members:
         defect = subnormal_defect(g, m.subgroup)
         if defect is None:
@@ -178,7 +166,7 @@ def _check_cd_subnormal(g: Group):
 def _check_useful_prop(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
-    result = _lattice(g)
+    result = cd_lattice(g)
     subs = _subgroups(g)
     full_mask = (1 << g.order) - 1
     pairs = 0
@@ -204,10 +192,10 @@ def _check_direct_cd(g: Group):
     if not _enumerable(g):
         return _skipped("product too large to enumerate")
     left, right = meta.factors
-    got = set(_lattice(g).member_masks())
+    got = set(cd_lattice(g).member_masks())
     want = set()
-    for m1 in _lattice(left).members:
-        for m2 in _lattice(right).members:
+    for m1 in cd_lattice(left).members:
+        for m2 in cd_lattice(right).members:
             want.add(product_subgroup(g, m1.subgroup, m2.subgroup).mask)
     if got != want:
         extra = [Subgroup(g, m) for m in sorted(got ^ want)[:3]]
@@ -224,12 +212,12 @@ def _check_direct_cl(g: Group):
     if not _enumerable(g):
         return _skipped("product too large to enumerate")
     left, right = meta.factors
-    got = set(_lattice(g).cl_masks())
+    got = set(cd_lattice(g).cl_masks())
     want = set()
-    for x in _lattice(left).members:
+    for x in cd_lattice(left).members:
         if not x.is_centrally_large:
             continue
-        for y in _lattice(right).members:
+        for y in cd_lattice(right).members:
             if y.is_centrally_large:
                 want.add(product_subgroup(g, x.subgroup, y.subgroup).mask)
     if got != want:
@@ -301,7 +289,7 @@ def _check_wreath_not_self(g: Group):
         )
     stats = {"base_measure": str(m_base), "group_measure": str(m_whole)}
     if _enumerable(g):
-        result = _lattice(g)
+        result = cd_lattice(g)
         if ((1 << g.order) - 1) in result.member_masks():
             return _failed("W is a member despite the measure gap", [])
         stats["subgroups_enumerated"] = len(_subgroups(g))
@@ -320,9 +308,9 @@ def _check_wreath_self_c2(g: Group):
     if center(bottom).order != 2:
         return _skipped("|Z(G)| != 2")
     bottom_full = (1 << bottom.order) - 1
-    if bottom_full not in _lattice(bottom).member_masks():
+    if bottom_full not in cd_lattice(bottom).member_masks():
         return _skipped("bottom group is not in its own lattice")
-    result = _lattice(g)
+    result = cd_lattice(g)
     masks = set(result.member_masks())
     if ((1 << g.order) - 1) not in masks:
         return _failed("W missing from its own lattice", [full_subgroup(g)])
@@ -355,7 +343,7 @@ def _check_wreath_cd_collapse(g: Group):
         return _skipped("needs |Z(G)| > 2 or p > 2")
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
-    result = _lattice(g)
+    result = cd_lattice(g)
     base = base_subgroup(g)
     base_cd = cd_of_subgroup(g, base)
     if set(result.member_masks()) != set(base_cd.member_masks):
@@ -380,7 +368,7 @@ def _check_wreath_mmm(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
     base_mask = base_subgroup(g).mask
-    result = _lattice(g)
+    result = cd_lattice(g)
     for m in result.members:
         u = m.subgroup
         if u.mask & ~base_mask and centralizer(g, u).mask & ~base_mask:
@@ -405,7 +393,7 @@ def _check_d12_counterexample(g: Group):
     m_g = g.order * center(g).order
     if m_g != 24:
         return _failed(f"m(G) = {m_g}, expected 24", [])
-    if ((1 << g.order) - 1) in _lattice(g).member_masks():
+    if ((1 << g.order) - 1) in cd_lattice(g).member_masks():
         return _failed("G still sits in its own lattice", [full_subgroup(g)])
     w = wreath_cyclic(g, 2, max_order=_CAPS.get()[0])
     m_w = w.order * center(w).order
@@ -428,7 +416,7 @@ def _check_g32_nonnormal(g: Group):
     if g.name != "g32" or g.order != 32:
         return _skipped("needs the g32 corpus fixture")
     a, b, d = G32_GENS["a"], G32_GENS["b"], G32_GENS["d"]
-    result = _lattice(g)
+    result = cd_lattice(g)
     masks = set(result.member_masks())
     table = g.table
     da = table[d][a]
@@ -491,7 +479,7 @@ def _check_embed_2group(g: Group):
         return _skipped("needs an iterated C2 wreath")
     if inner.bottom.order != 2:
         return _skipped("needs (C2 wr C2) wr C2")
-    result = _lattice(g)
+    result = cd_lattice(g)
     if ((1 << g.order) - 1) not in result.member_masks():
         return _failed("iterated wreath missing from its own lattice", [])
     return _passed(
@@ -510,7 +498,7 @@ def _check_simple_cd(g: Group):
         ncl = normal_closure(full, closure(g, [x]))
         if ncl.mask != full_mask:
             return _skipped("group is not simple")
-    result = _lattice(g)
+    result = cd_lattice(g)
     want = {center(g).mask, full_mask}
     if set(result.member_masks()) != want:
         return _failed("lattice of a simple group is not {Z(S), S}", [])
@@ -520,7 +508,7 @@ def _check_simple_cd(g: Group):
 def _check_sym_cd(g: Group):
     if g.name not in ("S4", "S5"):
         return _skipped("needs S4 or S5")
-    result = _lattice(g)
+    result = cd_lattice(g)
     want = {1, (1 << g.order) - 1}
     if set(result.member_masks()) != want:
         return _failed("symmetric-group lattice is not {1, G}", [])

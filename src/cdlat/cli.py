@@ -140,7 +140,13 @@ def _cmd_compute(args) -> int:
             json_text = cache_get(cache_dir, key)
         if json_text is None or args.dot:
             group = evaluate(node, max_order=order_cap)
-            result = cd_lattice(group, max_order=enum_limit)
+            # the report replays a subgroup search, so compute keeps the
+            # enumeration limit that cd_lattice itself does not need
+            if group.order > enum_limit:
+                raise EnumerationLimitExceeded(
+                    f"|{group.name}| = {group.order} exceeds enumeration limit {enum_limit}"
+                )
+            result = cd_lattice(group)
             if json_text is None:
                 report = build_report(
                     text, group, result, max_subgroups=args.max_subgroups

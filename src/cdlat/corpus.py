@@ -35,7 +35,6 @@ def _build_g32() -> Group:
     return Group(
         32,
         name="g32",
-        provenance="corpus-fixture",
         rows=rows,
         known_gens=(G32_GENS["a"], G32_GENS["b"], G32_GENS["c"], G32_GENS["d"]),
     )

@@ -23,17 +23,6 @@ TABLE_LIMIT = 4096
 # 25 MB to 33 MB, while its checks run as fast through the formula
 UT_TABLE_LIMIT = 256
 
-FAMILIES = ("C", "D", "Q", "S", "A", "UT")
-
-PROVENANCES = (
-    "cayley-file",
-    "permutation-gens",
-    "named-family",
-    "direct-product",
-    "wreath-product",
-    "corpus-fixture",
-)
-
 
 class FormulaTable:
     """Read-only row view with `table[a][b] == mul(a, b)`, for groups too
@@ -44,9 +33,6 @@ class FormulaTable:
     def __init__(self, mul: Callable[[int, int], int], order: int):
         self.mul = mul
         self.order = order
-
-    def __len__(self) -> int:
-        return self.order
 
     def __getitem__(self, a: int) -> "_FormulaRow":
         return _FormulaRow(self.mul, a)
@@ -81,7 +67,6 @@ class Group:
     __slots__ = (
         "order",
         "name",
-        "provenance",
         "known_gens",
         "perm_images",
         "product_meta",
@@ -95,18 +80,14 @@ class Group:
         order: int,
         *,
         name: str,
-        provenance: str,
         rows: Sequence[Sequence[int]] | FormulaTable,
         inv_table: Sequence[int] | None = None,
         known_gens: Iterable[int] = (),
         perm_images: Sequence[tuple[int, ...]] | None = None,
         product_meta=None,
     ):
-        if provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {provenance!r}")
         self.order = order
         self.name = name
-        self.provenance = provenance
         self.known_gens = tuple(known_gens)
         self.perm_images = tuple(perm_images) if perm_images is not None else None
         self.product_meta = product_meta
@@ -134,9 +115,6 @@ class Group:
     def rows(self) -> list[tuple[int, ...]] | None:
         """Full multiplication table, or None for formula-backed groups."""
         return None if isinstance(self.table, FormulaTable) else self.table
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def element_order(self, x: int) -> int:
         n = 1
@@ -269,9 +247,7 @@ def from_cayley(table: Sequence[Sequence[int]], *, name: str | None = None) -> G
     for j, column in enumerate(zip(*rows)):
         if len(set(column)) != n:
             raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
-    group = Group(
-        n, name=name or f"cayley{n}", provenance="cayley-file", rows=rows
-    )
+    group = Group(n, name=name or f"cayley{n}", rows=rows)
     check_axioms(group)
     return group
 
@@ -319,10 +295,10 @@ def load_cayley(text: str) -> list[list[int]]:
     return table
 
 
-def from_cayley_file(path, *, name: str | None = None) -> Group:
+def from_cayley_file(path) -> Group:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return from_cayley(load_cayley(text), name=name or str(path))
+    return from_cayley(load_cayley(text), name=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +416,6 @@ def from_permutations(
     return Group(
         n,
         name=name or f"perm{n}",
-        provenance="permutation-gens",
         rows=rows,
         inv_table=inv,
         known_gens=tuple(index[g] for g in gen_perms),
@@ -486,7 +461,6 @@ def _cyclic(n: int, max_order: int) -> Group:
     return Group(
         n,
         name=f"C{n}",
-        provenance="named-family",
         rows=product_table(n, lambda a, b: (a + b) % n),
         inv_table=[-a % n for a in range(n)],
         known_gens=(1,) if n > 1 else (),
@@ -512,7 +486,6 @@ def _dihedral(n: int, max_order: int) -> Group:
     return Group(
         n,
         name=f"D{n}",
-        provenance="named-family",
         rows=product_table(n, mul),
         inv_table=inv,
         known_gens=(2, 1),
@@ -545,7 +518,6 @@ def _quaternion(n: int, max_order: int) -> Group:
     return Group(
         n,
         name=f"Q{n}",
-        provenance="named-family",
         rows=product_table(n, mul),
         inv_table=inv,
         known_gens=(2, 1),
@@ -636,7 +608,6 @@ def _unitriangular(n: int, max_order: int) -> Group:
     return Group(
         order,
         name=f"UT({n},2)",
-        provenance="named-family",
         rows=product_table(order, mul, UT_TABLE_LIMIT),
         inv_table=inv,
         known_gens=tuple(1 << ut_entry_bit(n, i, i + 1) for i in range(n - 1)),

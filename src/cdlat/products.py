@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import BadParameter, OrderCapExceeded
 from .groups import DEFAULT_ORDER_CAP, TABLE_LIMIT, FormulaTable, Group
-from .subgroups import Subgroup
+from .subgroups import Subgroup, full_subgroup
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ def direct_product(
     return Group(
         order,
         name=f"{g.name} x {right}",
-        provenance="direct-product",
         rows=table,
         inv_table=[g.inv(a) * o2 + h.inv(b) for a in range(g.order) for b in range(o2)],
         known_gens=gens,
@@ -190,7 +189,6 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
     return Group(
         order,
         name=f"{bottom_name} wr C{n}",
-        provenance="wreath-product",
         rows=(
             _wreath_rows(g, n, shifts) if order <= TABLE_LIMIT else FormulaTable(mul, order)
         ),
@@ -203,18 +201,20 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
 def _wreath_rows(g: Group, n: int, shifts: list[list[int]]) -> list[tuple[int, ...]]:
     """Table of G wr C_n from the table of G: (f, k)(f', l) = (f * f'', k + l)
     with f'' = shifts[k][f'], read from the table of the base G^n."""
+    go = g.order
     base = g.table
-    for _ in range(n - 1):
-        base = _pair_rows(g.table, base, g.order, len(base))
+    for k in range(1, n):
+        base = _pair_rows(g.table, base, go, go**k)
+    size = go**n
     # every entry is one of `order` ints; sharing them keeps the rows small
-    pool = list(range(len(base) * n))
+    pool = list(range(size * n))
     # blocks[k][v]: the entries (v, k + l) for l = 0..n-1
     blocks = [
-        [tuple(pool[v * n + (k + l) % n] for l in range(n)) for v in range(len(base))]
+        [tuple(pool[v * n + (k + l) % n] for l in range(n)) for v in range(size)]
         for k in range(n)
     ]
     rows = []
-    for f in range(len(base)):
+    for f in range(size):
         row_f = base[f]
         for k in range(n):
             products = map(row_f.__getitem__, shifts[k])
@@ -233,28 +233,11 @@ def _wreath_meta(w: Group) -> WreathMeta:
 def base_subgroup(w: Group) -> Subgroup:
     """The normal base B = G^n (all elements with trivial top part)."""
     cached = w._cache.get("wreath_base")
-    if cached is not None:
-        return cached
-    meta = _wreath_meta(w)
-    n = meta.top_order
-    go = meta.bottom.order
-    mask = 0
-    for t in range(go**n):
-        mask |= 1 << (t * n)
-    gens = []
-    bottom_gens = meta.bottom.known_gens or _bottom_gens(meta.bottom)
-    for s in range(n):
-        for x in bottom_gens:
-            gens.append(meta.embed(tuple(x if i == s else 0 for i in range(n)), 0))
-    result = Subgroup(w, mask, gens=tuple(gens))
-    w._cache["wreath_base"] = result
-    return result
-
-
-def _bottom_gens(g: Group) -> tuple[int, ...]:
-    from .subgroups import full_subgroup
-
-    return full_subgroup(g).generators()
+    if cached is None:
+        meta = _wreath_meta(w)
+        parts = [full_subgroup(meta.bottom)] * meta.top_order
+        cached = w._cache["wreath_base"] = base_product_subgroup(w, parts)
+    return cached
 
 
 def diagonal_subgroup(w: Group, h: Subgroup) -> Subgroup:

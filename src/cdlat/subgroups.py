@@ -30,6 +30,11 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Canonical sort key of a subgroup mask: (order, ascending elements)."""
+    return (mask.bit_count(), tuple(bits_of(mask)))
+
+
 class Subgroup:
     """A subgroup of an ambient group, stored as a membership bitmask.
 
@@ -64,7 +69,7 @@ class Subgroup:
 
     def key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical sort key: (order, ascending element list)."""
-        return (self.order, tuple(self.elements()))
+        return canonical_key(self.mask)
 
     def __eq__(self, other):
         return (

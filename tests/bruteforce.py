@@ -189,7 +189,6 @@ def fresh_group(spec: str) -> Group:
     return Group(
         g.order,
         name=g.name,
-        provenance=g.provenance,
         rows=g.table,
         inv_table=[g.inv(x) for x in range(g.order)],
         known_gens=g.known_gens,

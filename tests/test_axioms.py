@@ -67,7 +67,7 @@ def modified_tables():
 
 
 def rejects(rows) -> bool:
-    group = Group(len(rows), name="loop", provenance="cayley-file", rows=rows)
+    group = Group(len(rows), name="loop", rows=rows)
     try:
         check_axioms(group)
     except NotAGroup:

@@ -203,11 +203,20 @@ def test_cached_results_respect_the_caps():
     g = named_group("D", 8)
     cd_lattice(g)  # caches the lattice
     all_subgroups(g)  # and the subgroup set
-    for call in (all_subgroups, cd_lattice, max_measure):
-        with pytest.raises(EnumerationLimitExceeded):
-            call(g, max_order=4)
+    with pytest.raises(EnumerationLimitExceeded):
+        all_subgroups(g, max_order=4)
     with pytest.raises(SubgroupCapExceeded):
         all_subgroups(g, max_subgroups=2)
+
+
+def test_cd_lattice_takes_no_enumeration_limit():
+    # S6 (order 720) is past the enumeration limit of 512; the centralizer
+    # closure needs no enumeration
+    g = fresh_group("S6")
+    result = cd_lattice(g)
+    assert [m.subgroup.order for m in result.members] == [1, 720]
+    assert result.max_measure == max_measure(g) == 720
+    assert [h.order for h in cl_subgroups(g)] == [720]
 
 
 # the 13 specs whose compute reports were pinned when subgroups became bare

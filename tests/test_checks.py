@@ -128,9 +128,7 @@ def test_witness_present_exactly_on_failure():
     from cdlat.checks import _check_g32_nonnormal
     from cdlat.groups import Group
 
-    fake = Group(
-        32, name="g32", provenance="corpus-fixture", rows=named_group("D", 32).rows()
-    )
+    fake = Group(32, name="g32", rows=named_group("D", 32).rows())
     status, witness, stats = _check_g32_nonnormal(fake)
     assert status == "failed"
     assert witness is not None and witness["note"]

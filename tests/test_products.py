@@ -15,6 +15,7 @@ from cdlat import (
     closure,
     diagonal_subgroup,
     direct_product,
+    from_cayley,
     full_subgroup,
     group_isomorphic_small,
     is_normal,
@@ -26,7 +27,7 @@ from cdlat import (
 )
 from cdlat.products import DirectProductMeta, WreathMeta
 
-from bruteforce import brute_centralizer_mask
+from bruteforce import brute_centralizer_mask, brute_closure_mask
 
 
 def test_direct_product_klein():
@@ -227,3 +228,16 @@ def test_cl_of_product_is_product_of_cls():
         if y.is_centrally_large
     }
     assert got == want and len(got) == 4
+
+
+def test_wreath_base_over_a_bottom_without_known_generators():
+    bottom = from_cayley(named_group("D", 8).rows())
+    assert bottom.known_gens == ()
+    w = wreath_cyclic(bottom, 2)
+    meta = w.product_meta
+    base = base_subgroup(w)
+    want = sum(1 << x for x in range(w.order) if meta.coord_of(x)[1] == 0)
+    assert base.mask == want
+    # the bottom's greedy generators (1, 2) in slot 0, then in slot 1
+    assert base.generators() == (16, 32, 2, 4)
+    assert brute_closure_mask(w, base.generators()) == want

@@ -159,6 +159,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_compute_refuses_past_the_enumeration_limit_before_the_lattice(
+    tmp_path, monkeypatch, capsys
+):
+    # the report replays a subgroup search, so compute keeps the limit; it
+    # must refuse before cd_lattice forms a single element centralizer
+    from cdlat import cdlattice, subgroups
+
+    real = subgroups.element_centralizer
+    calls = []
+
+    def spy(g, s):
+        calls.append(s)
+        return real(g, s)
+
+    monkeypatch.setattr(subgroups, "element_centralizer", spy)
+    monkeypatch.setattr(cdlattice, "element_centralizer", spy)
+    out = tmp_path / "e.json"
+    assert main(["compute", "UT(5,2)", "--no-cache", "--json", str(out)]) == 3
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f4016ed93f3cda4c45a2d42cb0bb9954ab879225cef9fafa4321e1f992847e66"
+    )
+    assert json.loads(out.read_text())["error"]["message"] == (
+        "|UT(5,2)| = 1024 exceeds enumeration limit 512"
+    )
+    assert calls == []
+    capsys.readouterr()
+
+
 def test_cli_wreath_top_order_zero_is_invalid_input(tmp_path, capsys):
     err_json = tmp_path / "err.json"
     assert main(["compute", "C2 wr C0", "--no-cache", "--json", str(err_json)]) == 4
@@ -233,6 +261,13 @@ def test_cli_max_subgroups_counts_the_replayed_subgroups(capsys):
     # 1336 subgroups of the wreath
     assert main(["compute", "D12 wr C2", "--no-cache", "--max-subgroups", "100"]) == 0
     assert main(["compute", "D12 wr C2", "--no-cache", "--max-subgroups", "20"]) == 3
+    capsys.readouterr()
+
+
+def test_cli_max_subgroups_caps_a_replay_of_the_seeds_alone(capsys):
+    # CD(C12) is C12 itself, the second subgroup the seeding finds
+    assert main(["compute", "C12", "--no-cache", "--max-subgroups", "1"]) == 3
+    assert main(["compute", "C12", "--no-cache", "--max-subgroups", "2"]) == 0
     capsys.readouterr()
 
 

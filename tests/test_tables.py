@@ -14,6 +14,7 @@ from cdlat import (
     centralizer,
     closure,
     corpus_group,
+    direct_product,
     evaluate,
     full_subgroup,
     named_group,
@@ -69,7 +70,6 @@ def _formula_twin(g: Group) -> Group:
     return Group(
         g.order,
         name=g.name,
-        provenance=g.provenance,
         rows=FormulaTable(lambda a, b: rows[a][b], g.order),
         inv_table=[g.inv(x) for x in range(g.order)],
         known_gens=g.known_gens,
@@ -91,6 +91,29 @@ def test_formula_backed_twin_agrees_with_table(spec):
     assert report_json(build_report(spec, f, cd_lattice(f))) == report_json(
         build_report(spec, g, cd_lattice(g))
     )
+
+
+def test_formula_backed_direct_product_matches_the_table():
+    d8, c4 = named_group("D", 8), named_group("C", 4)
+    f, g = direct_product(_formula_twin(d8), c4), direct_product(d8, c4)
+    assert isinstance(f.table, FormulaTable) and g.rows() is not None
+    n = g.order
+    assert all(f.table[a][b] == g.table[a][b] for a in range(n) for b in range(n))
+    assert [f.inv(x) for x in range(n)] == [g.inv(x) for x in range(n)]
+    assert f.known_gens == g.known_gens
+    assert report_json(build_report("D8 x C4", f, cd_lattice(f))) == report_json(
+        build_report("D8 x C4", g, cd_lattice(g))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wreath_table_over_a_formula_backed_bottom(n):
+    # the wreath is small enough to tabulate, read from the bottom's formula
+    d8 = named_group("D", 8)
+    f, g = wreath_cyclic(_formula_twin(d8), n), wreath_cyclic(d8, n)
+    assert f.rows() is not None
+    assert f.rows() == g.rows()
+    assert [f.inv(x) for x in range(g.order)] == [g.inv(x) for x in range(g.order)]
 
 
 def test_ut52_closure_and_centralizer_match_bruteforce():
