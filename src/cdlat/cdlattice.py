@@ -115,8 +115,13 @@ def cd_lattice(g: Group) -> CDResult:
     best, pairs = _maximal_centralizers(g, (1 << g.order) - 1)
     mask_index = {m: i for i, (m, _) in enumerate(pairs)}
     members = []
-    for m, cent in pairs:
+    for m, closure_cent in pairs:
         h = Subgroup(g, m)
+        cent = centralizer(g, h).mask
+        if cent != closure_cent:
+            raise AssertionError(
+                f"centralizer closure disagrees with C(H) in {g.name}"
+            )
         if cent not in mask_index:
             raise AssertionError(
                 f"centralizer of a member is not a member in {g.name}"

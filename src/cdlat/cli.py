@@ -33,7 +33,7 @@ from .report import (
     report_json,
 )
 from .specparse import cayley_paths, evaluate, parse_spec, spec_text
-from .subgroups import DEFAULT_SUBGROUP_CAP, resolve_caps
+from .subgroups import DEFAULT_SUBGROUP_CAP, check_enumerable, resolve_caps
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -142,10 +142,7 @@ def _cmd_compute(args) -> int:
             group = evaluate(node, max_order=order_cap)
             # the report replays a subgroup search, so compute keeps the
             # enumeration limit that cd_lattice itself does not need
-            if group.order > enum_limit:
-                raise EnumerationLimitExceeded(
-                    f"|{group.name}| = {group.order} exceeds enumeration limit {enum_limit}"
-                )
+            check_enumerable(group, enum_limit)
             result = cd_lattice(group)
             if json_text is None:
                 report = build_report(

@@ -289,6 +289,14 @@ def _discover(
     return found, discovered
 
 
+def check_enumerable(g: Group, max_order: int) -> None:
+    """Raise EnumerationLimitExceeded if g is too large to enumerate."""
+    if g.order > max_order:
+        raise EnumerationLimitExceeded(
+            f"|{g.name}| = {g.order} exceeds enumeration limit {max_order}"
+        )
+
+
 def all_subgroups(
     g: Group,
     *,
@@ -298,10 +306,7 @@ def all_subgroups(
     """Every subgroup of g, exactly once, canonically ordered, each with the
     generators it was discovered by."""
     n = g.order
-    if n > max_order:
-        raise EnumerationLimitExceeded(
-            f"|{g.name}| = {n} exceeds enumeration limit {max_order}"
-        )
+    check_enumerable(g, max_order)
     cached = g._cache.get("subgroups")
     if cached is None:
         found, _ = _discover(g, (1 << n) - 1, (), max_subgroups)
