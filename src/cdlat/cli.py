@@ -129,7 +129,7 @@ def _cmd_compute(args) -> int:
         return _emit_error(args, exc, EXIT_PARSE)
     text = spec_text(node)
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    key = json_text = None
+    key = cached = None
     try:
         if not args.no_cache:
             # key on all the output depends on: spec, Cayley file bytes, caps
@@ -137,14 +137,14 @@ def _cmd_compute(args) -> int:
             digests = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths]
             caps = f"caps {order_cap} {enum_limit} {args.max_subgroups}"
             key = "\n".join([text, *digests, caps])
-            json_text = cache_get(cache_dir, key)
-        if json_text is None or args.dot:
+            cached = cache_get(cache_dir, key)
+        if cached is None or args.dot:
             group = evaluate(node, max_order=order_cap)
             # the report replays a subgroup search, so compute keeps the
             # enumeration limit that cd_lattice itself does not need
             check_enumerable(group, enum_limit)
             result = cd_lattice(group)
-            if json_text is None:
+            if cached is None:
                 report = build_report(
                     text, group, result, max_subgroups=args.max_subgroups
                 )
@@ -152,22 +152,21 @@ def _cmd_compute(args) -> int:
         return _emit_error(args, exc, EXIT_CAP)
     except _INVALID_ERRORS as exc:
         return _emit_error(args, exc, EXIT_INVALID)
-    if json_text is None:
+    if cached is None:
         json_text = report_json(report)
         if key is not None:
             cache_put(cache_dir, key, json_text)
+    else:
+        json_text, report = cached
     if args.json:
         _write(args.json, json_text)
     if args.dot:
         _write(args.dot, export_dot(result))
-    _print_compute_summary(json_text)
+    _print_compute_summary(report)
     return EXIT_OK
 
 
-def _print_compute_summary(json_text: str) -> None:
-    import json as _json
-
-    report = _json.loads(json_text)
+def _print_compute_summary(report: dict) -> None:
     print(f"spec:         {report['spec']}")
     print(f"group:        {report['group']['name']} (order {report['group']['order']})")
     print(f"max measure:  {report['max_measure']}")

@@ -296,8 +296,11 @@ def load_cayley(text: str) -> list[list[int]]:
 
 
 def from_cayley_file(path) -> Group:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise NotAGroup(f"cayley file {path} is not UTF-8 text (byte {exc.start})") from None
     return from_cayley(load_cayley(text), name=str(path))
 
 

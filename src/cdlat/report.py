@@ -19,6 +19,7 @@ from .groups import Group
 from .subgroups import DEFAULT_SUBGROUP_CAP, replay_subgroups
 
 ENGINE_VERSION = "0.1.0"
+_REPORT_KEYS = {"engine_version", "spec", "group", "max_measure", "members", "hasse_edges"}
 
 
 def build_report(
@@ -35,14 +36,14 @@ def build_report(
     contains the others); max_subgroups caps the subgroups that replay
     discovers."""
     masks = result.member_masks()
-    replayed, _ = replay_subgroups(group, masks[-1], masks, max_subgroups=max_subgroups)
+    replayed = replay_subgroups(group, masks[-1], masks, max_subgroups=max_subgroups)
     members = []
-    for m, h in zip(result.members, replayed):
+    for m, gens in zip(result.members, replayed):
         members.append(
             {
                 "order": m.subgroup.order,
                 "elements": m.subgroup.elements(),
-                "generators": sorted(h.generators()),
+                "generators": sorted(gens),
                 "is_normal": m.is_normal,
                 "defect": m.defect,
                 "is_centrally_large": m.is_centrally_large,
@@ -116,24 +117,28 @@ def default_cache_dir() -> Path:
 
 
 def cache_key(spec: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(spec.encode("utf-8"))
-    digest.update(b"\n")
-    digest.update(ENGINE_VERSION.encode("utf-8"))
-    return digest.hexdigest()
+    return hashlib.sha256(f"{spec}\n{ENGINE_VERSION}".encode("utf-8")).hexdigest()
 
 
 def cache_path(cache_dir: Path, spec: str) -> Path:
     return Path(cache_dir) / f"{cache_key(spec)}.json"
 
 
-def cache_get(cache_dir: Path, spec: str) -> str | None:
-    """Cached report text for the spec, or None."""
-    path = cache_path(cache_dir, spec)
+def cache_get(cache_dir: Path, spec: str) -> tuple[str, dict] | None:
+    """Cached report text for the spec and the report it parses to, or None.
+
+    An entry that does not parse as a report (cut short, not UTF-8, not
+    JSON, or without a report's keys) is a miss, which the caller's
+    cache_put then overwrites.  A cut-short entry parses only when the
+    cut took just the final newline, which the check for it catches."""
     try:
-        return path.read_text(encoding="utf-8")
-    except FileNotFoundError:
+        text = cache_path(cache_dir, spec).read_text(encoding="utf-8")
+        report = json.loads(text)
+    except (FileNotFoundError, ValueError):
         return None
+    if not text.endswith("\n") or not isinstance(report, dict) or report.keys() != _REPORT_KEYS:
+        return None
+    return text, report
 
 
 def cache_put(cache_dir: Path, spec: str, text: str) -> Path:

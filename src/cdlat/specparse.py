@@ -74,11 +74,22 @@ GroupSpec = Union[FamilyAtom, UTAtom, CorpusAtom, PermAtom, CayleyAtom, Product,
 
 _FAMILY_LETTERS = "SACDQ"
 
+# Deepest nesting a spec may have: parentheses, products and wreaths each
+# add a level.  Deeper specs would exhaust the recursion of the parser,
+# the printer or the evaluator.
+MAX_SPEC_DEPTH = 100
+
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.open = 0  # parentheses open at pos
+
+    def nest(self, depth: int) -> int:
+        if depth >= MAX_SPEC_DEPTH:
+            raise ParseError(f"spec nests deeper than {MAX_SPEC_DEPTH} levels", self.pos)
+        return depth + 1
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -125,47 +136,52 @@ class _Scanner:
 def parse_spec(text: str) -> GroupSpec:
     """Parse mini-language text into an abstract group spec."""
     sc = _Scanner(text)
-    node = _parse_expr(sc)
+    node, _ = _parse_expr(sc)
     sc.skip_ws()
     if sc.pos != len(text):
         raise ParseError("trailing input", sc.pos, ("end of input",))
     return node
 
 
-def _parse_expr(sc: _Scanner) -> GroupSpec:
-    node = _parse_term(sc)
+def _parse_expr(sc: _Scanner) -> tuple[GroupSpec, int]:
+    # each _parse_* returns the node and its nesting depth
+    node, depth = _parse_term(sc)
     while True:
         sc.skip_ws()
         if sc.peek() == "x":
             # no atom starts with lowercase x, so this is the product operator
             sc.pos += 1
-            node = Product(node, _parse_term(sc))
+            right, right_depth = _parse_term(sc)
+            node, depth = Product(node, right), sc.nest(max(depth, right_depth))
         else:
             break
-    return node
+    return node, depth
 
 
-def _parse_term(sc: _Scanner) -> GroupSpec:
-    atom = _parse_atom(sc)
+def _parse_term(sc: _Scanner) -> tuple[GroupSpec, int]:
+    atom, depth = _parse_atom(sc)
     sc.skip_ws()
     if sc.startswith("wr"):
         sc.pos += 2
         sc.skip_ws()
         sc.take("C")
         top = sc.take_int()
-        return Wreath(atom, top)
-    return atom
+        return Wreath(atom, top), sc.nest(depth)
+    return atom, depth
 
 
-def _parse_atom(sc: _Scanner) -> GroupSpec:
+def _parse_atom(sc: _Scanner) -> tuple[GroupSpec, int]:
     sc.skip_ws()
     ch = sc.peek()
     if ch == "(":
+        # bound the open parentheses before recursing into them
+        sc.open = sc.nest(sc.open)
         sc.pos += 1
-        node = _parse_expr(sc)
+        node, depth = _parse_expr(sc)
         sc.skip_ws()
         sc.take(")")
-        return node
+        sc.open -= 1
+        return node, sc.nest(depth)
     if sc.startswith("UT("):
         sc.pos += 3
         sc.skip_ws()
@@ -176,19 +192,19 @@ def _parse_atom(sc: _Scanner) -> GroupSpec:
         sc.take("2")
         sc.skip_ws()
         sc.take(")")
-        return UTAtom(n)
+        return UTAtom(n), 0
     if sc.startswith("corpus:"):
         sc.pos += 7
-        return CorpusAtom(sc.take_name())
+        return CorpusAtom(sc.take_name()), 0
     if sc.startswith("perm:"):
         sc.pos += 5
-        return PermAtom(_parse_cycles(sc))
+        return PermAtom(_parse_cycles(sc)), 0
     if sc.startswith("cayley:"):
         sc.pos += 7
-        return CayleyAtom(sc.take_path())
+        return CayleyAtom(sc.take_path()), 0
     if ch in _FAMILY_LETTERS:
         sc.pos += 1
-        return FamilyAtom(ch, sc.take_int())
+        return FamilyAtom(ch, sc.take_int()), 0
     raise ParseError(
         "expected an atom",
         sc.pos,
@@ -290,11 +306,7 @@ def evaluate(
     node = parse_spec(spec) if isinstance(spec, str) else spec
     key = (spec_text(node), max_order)
     paths = cayley_paths(node)
-    stamps = (
-        tuple((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths))
-        if paths
-        else ()
-    )
+    stamps = tuple((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths))
     entry = _EVAL_CACHE.get(key)
     if entry is not None and entry[0] == stamps:
         return entry[1]

@@ -1,10 +1,11 @@
 """Subgroups as bitmasks over element indices: closure, exhaustive
-enumeration and its replay inside one subgroup, centralizers,
-normalizers, normal closures and subnormal defect."""
+enumeration and its replay inside one subgroup (both read one discovery
+search), centralizers, normalizers, normal closures and subnormal
+defect."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationLimitExceeded, SubgroupCapExceeded
 from .groups import DEFAULT_ORDER_CAP, Group
@@ -99,7 +100,7 @@ def full_subgroup(g: Group) -> Subgroup:
 
 
 def _extend(
-    table, inv, mask: int, elems: list[int], gens: list[int], g: int
+    table, inv, mask: int, elems: list[int], gens: Sequence[int], g: int
 ) -> tuple[int, int]:
     """Dimino step: close the subgroup H = (mask, gens) with one new
     generator g, reading products from the group's table and inverses
@@ -127,7 +128,7 @@ def _extend(
             if not mask >> t & 1:
                 reps.append(t)
     dclass = mask
-    all_gens = gens + [g]
+    all_gens = [*gens, g]
     reps = [table[r][g] for r in reps]
     qi = 0
     while qi < len(reps):
@@ -215,48 +216,36 @@ def _greedy_generators(g: Group, mask: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _discover(
-    g: Group, within: int, targets: Sequence[int], max_subgroups: int
-) -> tuple[dict[int, list[int]], int]:
+def _discover(g: Group, within: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The discovery BFS over the subgroups of the subgroup `within`.
 
-    Seeds with every cyclic subgroup, then closes the collection under
-    joins with cyclic subgroups, which realizes the pairwise-join
-    fixpoint.  Each popped K is joined with the elements x outside it in
-    index order.  The Dimino step also returns the class KxK u Kx^-1K,
-    every y of which gives <K, y> = <K, x>, so those y are skipped: their
-    joins are already known, and skipping them adds and reorders nothing.
+    Yields each subgroup once, as its mask and the generators it was first
+    reached by: the trivial subgroup, then every cyclic subgroup in
+    generator order, then the collection closed under joins with cyclic
+    subgroups, which realizes the pairwise-join fixpoint.  Each popped K
+    is joined with the elements x outside it in index order.  The Dimino
+    step also returns the class KxK u Kx^-1K, every y of which gives
+    <K, y> = <K, x>, so those y are skipped: their joins are already
+    known, and skipping them adds and reorders nothing.
 
-    Returns `found`, which maps each subgroup mask to the generators it
-    was first reached by, in discovery order, and how many subgroups were
-    discovered up to the last target (all of them, with no targets).
     Reports print those generators, so the traversal order is part of the
     output.  Elements are tried in g's index order, so for L <= H the run
-    inside H records the same found[L] as the run inside G.
-
-    Runs until every mask of `targets` is found or, with no targets, until
-    nothing new appears.  Raises SubgroupCapExceeded when more than
-    max_subgroups subgroups are discovered up to the last target (up to
-    the end, with no targets).
+    inside H records the same generators for L as the run inside G.
     """
     table, inv = g.table, g._inv
     elements = bits_of(within)[1:]
     # the trivial and every cyclic subgroup, in generator order
-    found: dict[int, list[int]] = {1: []}
+    found: dict[int, tuple[int, ...]] = {1: ()}
     for x in elements:
         mask = 1
         y = x
         while y != 0:
             mask |= 1 << y
             y = table[y][x]
-        found.setdefault(mask, [x])
+        found.setdefault(mask, (x,))
+    yield from found.items()
     worklist = list(found)
-    drain = not targets
-    pending = {t for t in targets if t not in found}
-    wi = 0
-    while (drain or pending) and wi < len(worklist):
-        kmask = worklist[wi]
-        wi += 1
+    for kmask in worklist:  # which grows as joins are found
         if kmask == within:
             continue
         gens = found[kmask]
@@ -267,26 +256,19 @@ def _discover(
                 continue
             new_mask, dclass = _extend(table, inv, kmask, elems, gens, x)
             covered |= dclass
-            if new_mask in found:
-                continue
-            found[new_mask] = gens + [x]
-            worklist.append(new_mask)
-            if len(found) > max_subgroups:
-                raise SubgroupCapExceeded(
-                    f"more than {max_subgroups} subgroups in {g.name}"
-                )
-            pending.discard(new_mask)
-            if not (drain or pending):
-                break
-    if pending:
-        raise ValueError(f"targets are not subgroups of {within:#x} in {g.name}")
-    if drain:
-        discovered = len(found)
-    else:
-        discovered = 1 + max(worklist.index(t) for t in targets)
-    if discovered > max_subgroups:
-        raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
-    return found, discovered
+            if new_mask not in found:
+                found[new_mask] = gens + (x,)
+                worklist.append(new_mask)
+                yield new_mask, found[new_mask]
+
+
+def _capped_discovery(g: Group, within: int, max_subgroups: int) -> Iterator[tuple]:
+    """_discover, raising SubgroupCapExceeded at its (max_subgroups + 1)-th
+    subgroup."""
+    for count, item in enumerate(_discover(g, within), 1):
+        if count > max_subgroups:
+            raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
+        yield item
 
 
 def check_enumerable(g: Group, max_order: int) -> None:
@@ -297,40 +279,38 @@ def check_enumerable(g: Group, max_order: int) -> None:
         )
 
 
-def all_subgroups(
-    g: Group,
-    *,
-    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
-    max_order: int = DEFAULT_ENUM_LIMIT,
-) -> tuple[Subgroup, ...]:
+def all_subgroups(g: Group, *, max_order: int = DEFAULT_ENUM_LIMIT) -> tuple[Subgroup, ...]:
     """Every subgroup of g, exactly once, canonically ordered, each with the
-    generators it was discovered by."""
-    n = g.order
+    generators it was discovered by.  Raises SubgroupCapExceeded past
+    DEFAULT_SUBGROUP_CAP subgroups."""
     check_enumerable(g, max_order)
     cached = g._cache.get("subgroups")
     if cached is None:
-        found, _ = _discover(g, (1 << n) - 1, (), max_subgroups)
-        subs = (Subgroup(g, mask, gens=tuple(gens)) for mask, gens in found.items())
+        found = _capped_discovery(g, (1 << g.order) - 1, DEFAULT_SUBGROUP_CAP)
+        subs = (Subgroup(g, mask, gens=gens) for mask, gens in found)
         cached = g._cache["subgroups"] = tuple(sorted(subs, key=Subgroup.key))
-    elif len(cached) > max_subgroups:
-        raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in {g.name}")
     return cached
 
 
 def replay_subgroups(
     g: Group,
     within: int,
-    masks: Iterable[int],
+    masks: Sequence[int],
     *,
     max_subgroups: int = DEFAULT_SUBGROUP_CAP,
-) -> tuple[list[Subgroup], int]:
-    """The subgroups `masks` of the subgroup `within`, each with the
-    generators all_subgroups(g) records for it, found by the discovery
-    BFS inside `within` alone; and the number of subgroups that BFS
-    discovers up to the last of them, which max_subgroups caps."""
-    masks = list(masks)
-    found, discovered = _discover(g, within, masks, max_subgroups)
-    return [Subgroup(g, m, gens=tuple(found[m])) for m in masks], discovered
+) -> list[tuple[int, ...]]:
+    """The generators all_subgroups(g) records for each of the subgroups
+    `masks` of the subgroup `within`, found by the discovery BFS inside
+    `within` alone.  The BFS stops at the last of them; max_subgroups caps
+    the subgroups it discovers up to there."""
+    wanted = set(masks)
+    found = {}
+    for mask, gens in _capped_discovery(g, within, max_subgroups):
+        if mask in wanted:
+            found[mask] = gens
+            if len(found) == len(wanted):
+                return [found[m] for m in masks]
+    raise ValueError(f"targets are not subgroups of {within:#x} in {g.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from cdlat import (
 from cdlat.cdlattice import CDMember, CDResult, _hasse_edges
 from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
 from cdlat.report import build_report, report_json
+from cdlat import subgroups
 from cdlat.subgroups import subnormal_defect
 
 from bruteforce import brute_cd_members, brute_centralizer_mask, fresh_group
@@ -205,8 +206,6 @@ def test_cached_results_respect_the_caps():
     all_subgroups(g)  # and the subgroup set
     with pytest.raises(EnumerationLimitExceeded):
         all_subgroups(g, max_order=4)
-    with pytest.raises(SubgroupCapExceeded):
-        all_subgroups(g, max_subgroups=2)
 
 
 def test_cd_lattice_takes_no_enumeration_limit():
@@ -295,7 +294,7 @@ def test_cd_lattice_matches_brute_force_on_small_groups():
         assert (result.max_measure, result.member_masks()) == (best, members), spec
 
 
-def test_max_subgroups_caps_the_subgroups_the_replay_discovers():
+def test_max_subgroups_caps_the_subgroups_the_replay_discovers(monkeypatch):
     # D12 wr C2: CD(W) lies inside a proper subgroup, whose replay meets
     # far fewer subgroups than the enumeration of W
     g = fresh_group("D12 wr C2")
@@ -305,6 +304,7 @@ def test_max_subgroups_caps_the_subgroups_the_replay_discovers():
     report = build_report("D12 wr C2", g, result, max_subgroups=100)
     with pytest.raises(SubgroupCapExceeded):
         build_report("D12 wr C2", g, result, max_subgroups=10)  # still capped
+    monkeypatch.setattr(subgroups, "DEFAULT_SUBGROUP_CAP", 100)
     with pytest.raises(SubgroupCapExceeded):
-        all_subgroups(g, max_subgroups=100)
+        all_subgroups(g)
     assert report == build_report("D12 wr C2", g, result)

@@ -83,7 +83,7 @@ def test_cache_round_trip(tmp_path):
     assert cache_get(tmp_path, "S3") is None
     path = cache_put(tmp_path, "S3", text)
     assert path == cache_path(tmp_path, "S3")
-    assert cache_get(tmp_path, "S3") == text
+    assert cache_get(tmp_path, "S3") == (text, json.loads(text))
     # key depends on the spec string
     assert cache_get(tmp_path, "S4") is None
     leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
@@ -128,6 +128,27 @@ def test_cli_compute_cache_hit_is_byte_identical(tmp_path):
     jpath.unlink()
     assert main(args + ["--no-cache"]) == 0
     assert jpath.read_text() == cold
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda b: b[:100], lambda b: b[:-1], lambda b: b"{}\n", lambda b: b"\xff\xfe" + b[2:]],
+    ids=["truncated", "no-final-newline", "empty-object", "not-utf8"],
+)
+def test_cli_compute_treats_a_corrupt_cache_entry_as_a_miss(corrupt, tmp_path, capsys):
+    jpath = tmp_path / "r.json"
+    args = ["compute", "D8", "--json", str(jpath), "--cache-dir", str(tmp_path / "cache")]
+    assert main(args + ["--no-cache"]) == 0
+    fresh = jpath.read_bytes()
+    assert main(args) == 0
+    (entry,) = (tmp_path / "cache").iterdir()
+    assert entry.read_bytes() == fresh
+    entry.write_bytes(corrupt(fresh))
+    jpath.unlink()
+    assert main(args) == 0
+    assert jpath.read_bytes() == fresh
+    assert entry.read_bytes() == fresh  # recomputed and overwritten
+    assert "max measure:  16" in capsys.readouterr().out
 
 
 def test_cli_compute_g32_member_annotations(tmp_path):
@@ -201,6 +222,39 @@ def test_cli_compute_max_order_flag(tmp_path):
 
 def test_cli_missing_cayley_file(capsys):
     assert main(["compute", "cayley:/nonexistent/file.cay", "--no-cache"]) == 4
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["compute", "--no-cache"], ["verify", "all"]])
+def test_cli_cayley_file_that_is_not_utf8_is_invalid_input(
+    command, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cay").write_bytes(b"2\n0 1\n1 \xff\n")
+    cmd, *flags = command
+    assert main([cmd, *flags, "cayley:bad.cay", "--json", "e.json"]) == 4
+    assert json.loads(Path("e.json").read_text()) == {
+        "error": {
+            "type": "NotAGroup",
+            "message": "cayley file bad.cay is not UTF-8 text (byte 8)",
+        }
+    }
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["compute", "--no-cache"], ["verify", "all"]])
+def test_cli_spec_nesting_is_bounded(command, tmp_path, capsys):
+    # deep enough to exhaust the recursion of the parser, or of the
+    # printer and the evaluator, without the bound
+    cmd, *flags = command
+    err = tmp_path / "e.json"
+    for spec in ("(" * 350 + "C2" + ")" * 350, " x ".join(["C1"] * 500)):
+        assert main([cmd, *flags, spec, "--json", str(err)]) == 2
+        message = json.loads(err.read_text())["error"]["message"]
+        assert message.startswith("spec nests deeper than 100 levels")
+    # the deepest specs the bound admits still run
+    for spec in ("(" * 100 + "C2" + ")" * 100, " x ".join(["C1"] * 101)):
+        assert main([cmd, *flags, spec]) == 0
     capsys.readouterr()
 
 

@@ -81,6 +81,19 @@ def test_parse_errors_carry_position(bad, pos_at_least):
     assert "position" in str(err.value)
 
 
+def test_nesting_depth_counts_parentheses_products_and_wreaths():
+    chain = " x ".join(["C1"] * 51)  # 50 products
+    assert parse_spec("(" * 50 + chain + ")" * 50) == parse_spec(chain)
+    assert parse_spec("(" * 99 + "C2" + ")" * 99 + " wr C2") == parse_spec("C2 wr C2")
+    for deeper in (
+        "(" * 50 + chain + " x C1" + ")" * 50,
+        "(" * 100 + "C2" + ")" * 100 + " wr C2",
+        "(" * 101 + "C2" + ")" * 101,
+    ):
+        with pytest.raises(ParseError, match="nests deeper than 100 levels"):
+            parse_spec(deeper)
+
+
 def test_parse_error_expected_tokens():
     with pytest.raises(ParseError) as err:
         parse_spec("x D8")

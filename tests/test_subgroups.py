@@ -112,20 +112,23 @@ def test_subgroup_set_canonical_order():
     assert len({h.mask for h in subs}) == len(subs)
 
 
-def test_enumeration_limit():
+def test_enumeration_limit(monkeypatch):
     with pytest.raises(EnumerationLimitExceeded):
         all_subgroups(named_group("UT", 5))
+    monkeypatch.setattr(subgroups, "DEFAULT_SUBGROUP_CAP", 10)
     with pytest.raises(SubgroupCapExceeded):
-        all_subgroups(named_group("S", 4), max_subgroups=10)
+        all_subgroups(fresh_group("S4"))
 
 
-def test_subgroup_cap_reached_by_the_cyclic_seeds_alone():
+def test_subgroup_cap_reached_by_the_cyclic_seeds_alone(monkeypatch):
     # C12 has 6 subgroups, all cyclic: the seeding finds every one and the
-    # join loop adds none, so only the check after the loop can fire
-    g = named_group("C", 12)
+    # join loop adds none
+    g = fresh_group("C12")
+    monkeypatch.setattr(subgroups, "DEFAULT_SUBGROUP_CAP", 5)
     with pytest.raises(SubgroupCapExceeded):
-        all_subgroups(g, max_subgroups=5)
-    assert len(all_subgroups(g, max_subgroups=6)) == 6
+        all_subgroups(g)
+    monkeypatch.setattr(subgroups, "DEFAULT_SUBGROUP_CAP", 6)
+    assert len(all_subgroups(g)) == 6
 
 
 def test_subgroup_constructor_guards():
@@ -337,8 +340,8 @@ def test_replay_inside_every_subgroup_finds_the_enumeration_generators():
         subs = all_subgroups(fresh_group(spec))
         g = fresh_group(spec)
         for h in subs:
-            (got,), _ = replay_subgroups(g, h.mask, [h.mask])
-            assert got.generators() == h.generators(), (spec, h.mask)
+            (got,) = replay_subgroups(g, h.mask, [h.mask])
+            assert got == h.generators(), (spec, h.mask)
             replays += 1
     assert replays == 2231
 
@@ -350,13 +353,11 @@ def test_discovery_order_matches_the_plain_coset_search():
     for spec in ORACLE_SPECS + ("S5", "S3 x D8"):
         g = evaluate(spec)
         full = (1 << g.order) - 1
-        found, _ = subgroups._discover(g, full, (), subgroups.DEFAULT_SUBGROUP_CAP)
-        got = [(mask, tuple(gens)) for mask, gens in found.items()]
-        assert got == brute_discovery(g), spec
+        assert list(subgroups._discover(g, full)) == brute_discovery(g), spec
 
 
 @pytest.mark.parametrize("spec", ["S4", "D8 wr C2"])
-def test_enumeration_after_the_subgroup_cap_matches_a_fresh_run(spec):
+def test_enumeration_after_the_subgroup_cap_matches_a_fresh_run(spec, monkeypatch):
     want = [(h.mask, h.generators()) for h in all_subgroups(fresh_group(spec))]
     g = fresh_group(spec)
     seeds = len({closure(g, [x]).mask for x in range(g.order)})
@@ -364,8 +365,10 @@ def test_enumeration_after_the_subgroup_cap_matches_a_fresh_run(spec):
     # a pop; a capped search must leave nothing behind for the next one
     for cap in range(seeds, seeds + 8):
         g = fresh_group(spec)
-        with pytest.raises(SubgroupCapExceeded):
-            all_subgroups(g, max_subgroups=cap)
+        with monkeypatch.context() as m:
+            m.setattr(subgroups, "DEFAULT_SUBGROUP_CAP", cap)
+            with pytest.raises(SubgroupCapExceeded):
+                all_subgroups(g)
         got = [(h.mask, h.generators()) for h in all_subgroups(g)]
         assert got == want, cap
 
@@ -378,7 +381,9 @@ def test_report_caps_the_replay_at_the_last_member(spec):
     result = cd_lattice(g)
     full = (1 << g.order) - 1
     assert result.member_masks()[-1] == full
-    _, discovered = replay_subgroups(g, full, result.member_masks())
+    # the replay stops at the last member the discovery order meets
+    order = [mask for mask, _ in brute_discovery(g)]
+    discovered = 1 + max(order.index(mask) for mask in result.member_masks())
     # the cap counts the same after the enumeration of G has run
     subs = all_subgroups(g)
     if spec == "C2 x C4":
