@@ -1,7 +1,8 @@
 """Command-line interface: compute lattices and verify the check corpus.
 
 Exit codes: 0 success (verify: no failures), 1 failed checks, 2 spec
-parse error, 3 cap exceeded, 4 invalid group input.
+parse error or bad usage, 3 cap exceeded, 4 invalid group input or an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -50,6 +51,17 @@ _CAP_ERRORS = (
 _INVALID_ERRORS = (NotAGroup, BadParameter, UnknownFixture, OSError)
 
 
+def _count(text: str) -> int:
+    """argparse type of the cap flags: an int, zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdlat",
@@ -59,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, max_order_help):
         p.add_argument("--json", metavar="PATH", help="write a JSON report here")
-        p.add_argument("--max-order", type=int, metavar="N", help=max_order_help)
+        p.add_argument("--max-order", type=_count, metavar="N", help=max_order_help)
         p.add_argument(
             "--threads",
-            type=int,
+            type=_count,
             default=1,
             metavar="N",
             help="accepted for compatibility; work runs sequentially and the output "
@@ -75,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
     pc.add_argument(
         "--max-subgroups",
-        type=int,
+        type=_count,
         default=DEFAULT_SUBGROUP_CAP,
         metavar="N",
         help="cap on the subgroups discovered while finding member generators",
@@ -109,15 +121,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write(path: str, text: str) -> bool:
+    """Write text to path; if that fails, say why on stderr and return
+    False."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _emit_error(args, exc: Exception, code: int) -> int:
+    """Report exc and return its exit code, which a failed write of the
+    error JSON does not change."""
+    print(f"error: {exc}", file=sys.stderr)
     if getattr(args, "json", None):
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         _write(args.json, report_json(payload))
-    print(f"error: {exc}", file=sys.stderr)
     return code
 
 
@@ -158,10 +179,10 @@ def _cmd_compute(args) -> int:
             cache_put(cache_dir, key, json_text)
     else:
         json_text, report = cached
-    if args.json:
-        _write(args.json, json_text)
-    if args.dot:
-        _write(args.dot, export_dot(result))
+    if args.json and not _write(args.json, json_text):
+        return EXIT_INVALID
+    if args.dot and not _write(args.dot, export_dot(result)):
+        return EXIT_INVALID
     _print_compute_summary(report)
     return EXIT_OK
 
@@ -205,8 +226,8 @@ def _cmd_verify(args) -> int:
     except _INVALID_ERRORS as exc:
         return _emit_error(args, exc, EXIT_INVALID)
     report = build_verify_report(verdicts)
-    if args.json:
-        _write(args.json, report_json(report))
+    if args.json and not _write(args.json, report_json(report)):
+        return EXIT_INVALID
     tags = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}
     for v in verdicts:
         line = f"{tags[v.status]}  {v.check_id}  [{v.group_spec}]"

@@ -378,6 +378,59 @@ def test_cli_verify_single_check(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "D8", "--no-cache", "--json"],
+        ["compute", "D8", "--no-cache", "--dot"],
+        ["verify", "all", "D8", "--json"],
+    ],
+    ids=["compute-json", "compute-dot", "verify-json"],
+)
+def test_cli_unwritable_output_path_is_invalid_input(argv, tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "out"
+    assert main([*argv, str(path)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: cannot write {path}: No such file or directory\n"
+    )
+
+
+def test_cli_unwritable_error_json_keeps_the_earlier_exit_code(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "e.json"
+    assert main(["compute", "D8 x", "--json", str(path)]) == 2
+    parse_error, write_error = capsys.readouterr().err.splitlines()
+    assert parse_error == "error: expected an integer at position 5 (expected INT)"
+    assert write_error == f"error: cannot write {path}: No such file or directory"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "D8", "--no-cache", "--max-subgroups", "-1"],
+        ["compute", "D8", "--no-cache", "--max-order", "-3"],
+        ["compute", "D8", "--no-cache", "--threads", "-4"],
+        ["verify", "all", "D8", "--max-order", "-3"],
+        ["verify", "all", "D8", "--threads", "-4"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_cli_rejects_negative_cap_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be at least 0, got {argv[-1]}" in (
+        capsys.readouterr().err
+    )
+
+
+def test_cli_cap_flags_accept_zero(capsys):
+    assert main(["compute", "D8", "--no-cache", "--threads", "0"]) == 0
+    assert main(["compute", "D8", "--no-cache", "--max-subgroups", "0"]) == 3
+    assert main(["compute", "D8", "--no-cache", "--max-order", "0"]) == 3
+    assert main(["verify", "sym-cd", "S4", "--threads", "0"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "flag",
     [["--dot", "x.dot"], ["--no-cache"], ["--cache-dir", "c"], ["--max-subgroups", "1"]],
     ids=["dot", "no-cache", "cache-dir", "max-subgroups"],

@@ -1,6 +1,8 @@
 """Subgroup machinery against brute-force oracles and frozen examples."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdlat import (
     EnumerationLimitExceeded,
@@ -34,6 +36,7 @@ from cdlat import subgroups
 from cdlat.subgroups import bits_of, lattice_join, replay_subgroups
 
 from bruteforce import (
+    brute_bits,
     brute_center_mask,
     brute_centralizer_mask,
     brute_closure_mask,
@@ -350,10 +353,28 @@ def test_discovery_order_matches_the_plain_coset_search():
     # the enumeration skips each tried element's double-coset class; the
     # oracle tries one element of every right coset Kx and skips nothing
     # else, and both must record the same subgroups, generators and order
-    for spec in ORACLE_SPECS + ("S5", "S3 x D8"):
+    # D8 x D8 x C2 and C2^6 are the largest searches compute-mix replays
+    more = ("S5", "S3 x D8", "D8 x D8 x C2", "C2 x C2 x C2 x C2 x C2 x C2")
+    for spec in ORACLE_SPECS + more:
         g = evaluate(spec)
         full = (1 << g.order) - 1
         assert list(subgroups._discover(g, full)) == brute_discovery(g), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, (1 << 4096) - 1),
+        st.frozensets(st.integers(0, 4095), max_size=64).map(
+            lambda bits: sum(1 << i for i in bits)
+        ),
+    )
+)
+@example(0)
+@example(1)
+def test_bits_of_matches_the_low_bit_loop(mask):
+    # dense masks from the first strategy, sparse ones from the second
+    assert bits_of(mask) == brute_bits(mask)
 
 
 @pytest.mark.parametrize("spec", ["S4", "D8 wr C2"])
