@@ -5,11 +5,10 @@ defect."""
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationLimitExceeded, SubgroupCapExceeded
-from .groups import DEFAULT_ORDER_CAP, Group
+from .groups import DEFAULT_ORDER_CAP, TABLE_LIMIT, Group
 
 DEFAULT_ENUM_LIMIT = 512
 DEFAULT_SUBGROUP_CAP = 250000
@@ -23,19 +22,15 @@ def resolve_caps(max_order: int | None) -> tuple[int, int]:
     return max_order, max_order
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def bits_of(mask: int) -> list[int]:
-    """Ascending indices of the set bits of mask >= 0.
-
-    bin(mask) read backwards, as 0/1 bytes, selects from range() at C
-    speed: one pass over the mask's width, against one bigint AND, XOR and
-    bit_length per set bit for a low-bit loop.  That makes dense masks
-    several times faster (whole subgroups, `within`); masks below about
-    one bit in eight run a little slower."""
-    flags = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return list(compress(range(len(flags)), flags))
+    """Ascending indices of the set bits of mask >= 0, one bigint AND,
+    XOR and bit_length per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -106,10 +101,26 @@ def full_subgroup(g: Group) -> Subgroup:
     return cached
 
 
-def _shift_table(g: Group) -> list[int]:
-    """bit[i] = 1 << i for every element index of g, built once per group
-    and kept on it: the Dimino step ORs each coset element in as bit[t]
-    instead of shifting 1 again."""
+class _Shifts:
+    """`bit[i] == 1 << i`, shifted on each read."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i: int) -> int:
+        return 1 << i
+
+
+def _shift_table(g: Group) -> Sequence[int]:
+    """bit[i] = 1 << i for every element index of g, so the Dimino step
+    ORs each coset element in as bit[t] instead of shifting 1 again.
+
+    Groups of order up to TABLE_LIMIT keep the list in their memo, built
+    on first use; entry i is an i-bit int, so it takes about |G|^2/16
+    bytes, at most 1 MB.  Larger groups, most of them formula-backed,
+    shift on each read instead: their list would take up to 25 MB at the
+    default order cap."""
+    if g.order > TABLE_LIMIT:
+        return _Shifts()
     bit = g._cache.get("shift_table")
     if bit is None:
         bit = g._cache["shift_table"] = [1 << i for i in range(g.order)]
@@ -117,7 +128,7 @@ def _shift_table(g: Group) -> list[int]:
 
 
 def _extend(
-    table, inv, bit: list[int], mask: int, elems: list[int], gens: Sequence[int], g: int
+    table, inv, bit: Sequence[int], mask: int, elems: list[int], gens: Sequence[int], g: int
 ) -> tuple[int, int]:
     """Dimino step: close the subgroup H = (mask, gens) with one new
     generator g, reading products from the group's table, inverses from

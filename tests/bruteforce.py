@@ -16,16 +16,6 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def brute_bits(mask: int) -> list[int]:
-    """Ascending indices of the set bits of mask >= 0, lowest bit first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def is_closed_mask(g: Group, mask: int) -> bool:
     rows = g.table
     elems = [i for i in range(g.order) if mask >> i & 1]

@@ -1,8 +1,8 @@
 """Subgroup machinery against brute-force oracles and frozen examples."""
 
+import random
+
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from cdlat import (
     EnumerationLimitExceeded,
@@ -30,13 +30,13 @@ from cdlat.corpus import (
     corpus_group,
     universal_corpus_specs,
 )
+from cdlat.groups import TABLE_LIMIT
 from cdlat.report import build_report
 from cdlat.specparse import evaluate
 from cdlat import subgroups
 from cdlat.subgroups import bits_of, lattice_join, replay_subgroups
 
 from bruteforce import (
-    brute_bits,
     brute_center_mask,
     brute_centralizer_mask,
     brute_closure_mask,
@@ -195,6 +195,26 @@ def test_g32_d_does_not_normalize_x():
     g = corpus_group("g32")
     x = closure(g, [G32_GENS["a"], G32_GENS["b"]])
     assert G32_GENS["d"] not in normalizer(g, x)
+
+
+def test_closure_past_the_table_limit_matches_brute_force():
+    # S7 is formula-backed, and its Dimino steps shift on each read
+    # instead of keeping a shift table
+    g = named_group("S", 7)
+    assert g.order > TABLE_LIMIT and g.rows() is None
+    # the 120 elements that fix 5 and 6 form an S5
+    s5 = [i for i, p in enumerate(g.perm_images) if p[5:] == (5, 6)]
+    rng = random.Random(12)
+    for _ in range(12):
+        seed = rng.sample(s5, 2)
+        assert closure(g, seed).mask == brute_closure_mask(g, seed), seed
+    where = {p: i for i, p in enumerate(g.perm_images)}
+    big = closure(g, [where[(1, 0, 2, 3, 4, 5, 6)], where[(1, 2, 3, 4, 0, 5, 6)]])
+    small = closure(g, [where[(1, 2, 0, 3, 4, 5, 6)]])
+    a5 = normal_closure(big, small)
+    assert a5.order == 60
+    assert a5.mask == brute_normal_closure_mask(g, big.mask, small.mask)
+    assert "shift_table" not in g._cache
 
 
 def test_normal_closure_examples():
@@ -359,22 +379,6 @@ def test_discovery_order_matches_the_plain_coset_search():
         g = evaluate(spec)
         full = (1 << g.order) - 1
         assert list(subgroups._discover(g, full)) == brute_discovery(g), spec
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.integers(0, (1 << 4096) - 1),
-        st.frozensets(st.integers(0, 4095), max_size=64).map(
-            lambda bits: sum(1 << i for i in bits)
-        ),
-    )
-)
-@example(0)
-@example(1)
-def test_bits_of_matches_the_low_bit_loop(mask):
-    # dense masks from the first strategy, sparse ones from the second
-    assert bits_of(mask) == brute_bits(mask)
 
 
 @pytest.mark.parametrize("spec", ["S4", "D8 wr C2"])
