@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UnknownFixture
-from .groups import Group, named_group, ut_entry_bit
+from .groups import Group, named_group, product_table, ut_entry_bit
 from .subgroups import Subgroup, closure
 
 # generator indices of the order-32 fixture under its normal-form encoding
@@ -31,13 +31,8 @@ def _build_g32() -> Group:
         l = (l1 + l2) & 1
         return i << 3 | j << 2 | k << 1 | l
 
-    rows = [[mul(x, y) for y in range(32)] for x in range(32)]
-    return Group(
-        32,
-        name="g32",
-        rows=rows,
-        known_gens=(G32_GENS["a"], G32_GENS["b"], G32_GENS["c"], G32_GENS["d"]),
-    )
+    gens = (G32_GENS["a"], G32_GENS["b"], G32_GENS["c"], G32_GENS["d"])
+    return Group(32, name="g32", rows=product_table(32, mul, gens), known_gens=gens)
 
 
 def _build_ut52() -> Group:

@@ -49,12 +49,37 @@ class _FormulaRow:
         return self.mul(self.a, b)
 
 
-def product_table(order: int, mul: Callable[[int, int], int], limit: int = TABLE_LIMIT):
-    """Tuple rows of `mul` for groups of order up to `limit`, else a
-    FormulaTable over it."""
+def product_table(order: int, mul: Callable, gens: Sequence[int], limit=TABLE_LIMIT):
+    """Tuple rows of `mul` for groups of order up to `limit`, gathered from
+    the rows of the generators `gens`, else a FormulaTable over it."""
     if order > limit:
         return FormulaTable(mul, order)
-    return [tuple([mul(a, b) for b in range(order)]) for a in range(order)]
+    return gather_rows(order, gens, [[mul(s, b) for b in range(order)] for s in gens])
+
+
+def gather_rows(order: int, gens: Sequence[int], gen_rows: Sequence[Sequence[int]]):
+    """The multiplication table from the rows of generators alone.
+
+    A breadth-first walk from the identity by right multiplication gives
+    each newly reached y = x*s the row of x gathered through the row of s,
+    since (x*s)*b = x*(s*b).  Every entry is one of row 0's int objects,
+    so the rows share them.
+    Raises ValueError if `gens` do not generate all `order` elements.
+    """
+    rows: list = [None] * order
+    rows[0] = tuple(range(order))
+    steps = [(s, itemgetter(*row)) for s, row in zip(gens, gen_rows)]
+    reached = [0]
+    for x in reached:  # also visits the elements appended below
+        row_x = rows[x]
+        for s, gather in steps:
+            y = row_x[s]
+            if rows[y] is None:
+                rows[y] = gather(row_x)
+                reached.append(y)
+    if len(reached) != order:
+        raise ValueError(f"gens {tuple(gens)} reach {len(reached)} of {order} elements")
+    return rows
 
 
 class Group:
@@ -378,50 +403,35 @@ def from_permutations(
     gen_perms = [g for g in gens.generators if g != identity]
     elems = [identity]
     index = {identity: 0}
-    # elems[i] = elems[parent[i]] * gen_perms[via[i]]
-    parent = [0]
-    via = [0]
-    qi = 0
-    while qi < len(elems):
-        p = elems[qi]
-        for k, g in enumerate(gen_perms):
+    for p in elems:  # also visits the elements appended below
+        for g in gen_perms:
             q = _compose(p, g)
             if q not in index:
                 index[q] = len(elems)
                 elems.append(q)
-                parent.append(qi)
-                via.append(k)
                 if len(elems) > max_order:
                     raise OrderCapExceeded(
                         f"permutation closure exceeded {max_order} elements"
                     )
-        qi += 1
     n = len(elems)
-    inv = [0] * n
-    for i, p in enumerate(elems):
-        pi = [0] * degree
-        for a, b in enumerate(p):
-            pi[b] = a
-        inv[i] = index[tuple(pi)]
+    # the inverse of p lists the points in the order of their images
+    inv = [index[tuple(sorted(range(degree), key=p.__getitem__))] for p in elems]
+    gens = tuple(index[g] for g in gen_perms)
 
     def mul(a: int, b: int, _e=elems, _i=index) -> int:
         return _i[_compose(_e[a], _e[b])]
 
     if n > TABLE_LIMIT:
         rows = FormulaTable(mul, n)
-    else:
-        # only the generator rows are composed; since (p*g)*b = p*(g*b),
-        # every other row gathers its parent's row through a generator row
-        gen_rows = [tuple([index[_compose(g, q)] for q in elems]) for g in gen_perms]
-        rows = [tuple(range(n))]
-        for i in range(1, n):
-            rows.append(tuple(map(rows[parent[i]].__getitem__, gen_rows[via[i]])))
+    else:  # only the generator rows are composed
+        gen_rows = [[index[_compose(g, q)] for q in elems] for g in gen_perms]
+        rows = gather_rows(n, gens, gen_rows)
     return Group(
         n,
         name=name or f"perm{n}",
         rows=rows,
         inv_table=inv,
-        known_gens=tuple(index[g] for g in gen_perms),
+        known_gens=gens,
         perm_images=elems,
     )
 
@@ -461,12 +471,13 @@ def _cyclic(n: int, max_order: int) -> Group:
     if n < 1:
         raise BadParameter(f"C_n needs n >= 1, got {n}")
     _cap(n, max_order, f"C{n}")
+    gens = (1,) if n > 1 else ()
     return Group(
         n,
         name=f"C{n}",
-        rows=product_table(n, lambda a, b: (a + b) % n),
+        rows=product_table(n, lambda a, b: (a + b) % n, gens),
         inv_table=[-a % n for a in range(n)],
-        known_gens=(1,) if n > 1 else (),
+        known_gens=gens,
     )
 
 
@@ -489,7 +500,7 @@ def _dihedral(n: int, max_order: int) -> Group:
     return Group(
         n,
         name=f"D{n}",
-        rows=product_table(n, mul),
+        rows=product_table(n, mul, (2, 1)),
         inv_table=inv,
         known_gens=(2, 1),
     )
@@ -521,7 +532,7 @@ def _quaternion(n: int, max_order: int) -> Group:
     return Group(
         n,
         name=f"Q{n}",
-        rows=product_table(n, mul),
+        rows=product_table(n, mul, (2, 1)),
         inv_table=inv,
         known_gens=(2, 1),
     )
@@ -608,12 +619,13 @@ def _unitriangular(n: int, max_order: int) -> Group:
             prev = y
             y = mul(y, e)
         inv[e] = prev if e else 0
+    gens = tuple(1 << ut_entry_bit(n, i, i + 1) for i in range(n - 1))
     return Group(
         order,
         name=f"UT({n},2)",
-        rows=product_table(order, mul, UT_TABLE_LIMIT),
+        rows=product_table(order, mul, gens, UT_TABLE_LIMIT),
         inv_table=inv,
-        known_gens=tuple(1 << ut_entry_bit(n, i, i + 1) for i in range(n - 1)),
+        known_gens=gens,
     )
 
 

@@ -8,7 +8,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BadParameter, OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, TABLE_LIMIT, FormulaTable, Group
+from .groups import DEFAULT_ORDER_CAP, TABLE_LIMIT, FormulaTable, Group, gather_rows
+from .groups import generating_set
 from .subgroups import Subgroup, full_subgroup
 
 
@@ -27,17 +28,14 @@ class DirectProductMeta:
         return x
 
 
-def _pair_rows(left, right, lo: int, ro: int) -> list[tuple[int, ...]]:
-    """Product table of two factor tables on packed pairs a*ro + b."""
-    rows = []
-    for a1 in range(lo):
-        la = left[a1]
-        high = [la[a2] * ro for a2 in range(lo)]
-        for b1 in range(ro):
-            rb = right[b1]
-            low = [rb[b2] for b2 in range(ro)]
-            rows.append(tuple([x + y for x in high for y in low]))
-    return rows
+def _leading_rows(g: Group, gens, block: int) -> list[list[int]]:
+    """Rows of the elements v * block, v in gens, where an index's leading
+    coordinate x // block multiplies in g and the rest x % block is kept."""
+    rest = range(block)
+    return [
+        [c * block + r for c in map(g.table[v].__getitem__, range(g.order)) for r in rest]
+        for v in gens
+    ]
 
 
 def direct_product(
@@ -59,7 +57,12 @@ def direct_product(
         gens = ()
     gt, ht = g.table, h.table
     if order <= TABLE_LIMIT and g.rows() is not None and h.rows() is not None:
-        table = _pair_rows(gt, ht, g.order, o2)
+        # (a, 0)(a', b') = (a a', b') and (0, b)(a', b') = (a', b b')
+        g_gens = g.known_gens or generating_set(g)
+        h_gens = h.known_gens or generating_set(h)
+        gen_rows = _leading_rows(g, g_gens, o2)
+        gen_rows += [[a + c for a in range(0, order, o2) for c in ht[b]] for b in h_gens]
+        table = gather_rows(order, [a * o2 for a in g_gens] + list(h_gens), gen_rows)
     else:
 
         def mul(x: int, y: int) -> int:
@@ -178,49 +181,34 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
         out = tuple(g.mul(fx[s], fy[(s + k) % n]) for s in range(n))
         return meta.embed(out, (k + l) % n)
 
+    # e_0(v) = v * block is v in slot 0, the leading digit; sigma = 1
+    # generates the top, which is trivial when n == 1
+    block = order // go
+    top = (meta.sigma,) if n > 1 else ()
     if g.known_gens or g.order == 1:
-        gens = tuple(
-            meta.embed(tuple(x if s == 0 else 0 for s in range(n)), 0)
-            for x in g.known_gens
-        ) + (meta.sigma,)
+        gens = tuple(x * block for x in g.known_gens) + top
     else:
         gens = ()
+    if order <= TABLE_LIMIT:
+        # e_0(v) multiplies the leading digit by v, and sigma sends (f, l)
+        # to (shifts[1][f], l + 1)
+        bottom = g.known_gens or generating_set(g)
+        gen_rows = _leading_rows(g, bottom, block)
+        if n > 1:
+            succ = [*range(1, n), 0]
+            gen_rows.append([f * n + l for f in shifts[1] for l in succ])
+        table = gather_rows(order, [v * block for v in bottom] + list(top), gen_rows)
+    else:
+        table = FormulaTable(mul, order)
     bottom_name = f"({g.name})" if " " in g.name else g.name
     return Group(
         order,
         name=f"{bottom_name} wr C{n}",
-        rows=(
-            _wreath_rows(g, n, shifts) if order <= TABLE_LIMIT else FormulaTable(mul, order)
-        ),
+        rows=table,
         inv_table=inv,
         known_gens=gens,
         product_meta=meta,
     )
-
-
-def _wreath_rows(g: Group, n: int, shifts: list[list[int]]) -> list[tuple[int, ...]]:
-    """Table of G wr C_n from the table of G: (f, k)(f', l) = (f * f'', k + l)
-    with f'' = shifts[k][f'], read from the table of the base G^n."""
-    go = g.order
-    base = g.table
-    for k in range(1, n):
-        base = _pair_rows(g.table, base, go, go**k)
-    size = go**n
-    # every entry is one of `order` ints; sharing them keeps the rows small
-    pool = list(range(size * n))
-    # blocks[k][v]: the entries (v, k + l) for l = 0..n-1
-    blocks = [
-        [tuple(pool[v * n + (k + l) % n] for l in range(n)) for v in range(size)]
-        for k in range(n)
-    ]
-    rows = []
-    for f in range(size):
-        row_f = base[f]
-        for k in range(n):
-            products = map(row_f.__getitem__, shifts[k])
-            cells = map(blocks[k].__getitem__, products)
-            rows.append(tuple(itertools.chain.from_iterable(cells)))
-    return rows
 
 
 def _wreath_meta(w: Group) -> WreathMeta:

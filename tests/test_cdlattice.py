@@ -1,5 +1,7 @@
 """Lattice extraction against the worked small-group examples."""
 
+import random
+
 import pytest
 
 from cdlat import (
@@ -21,6 +23,8 @@ from cdlat import (
 )
 from cdlat.cdlattice import CDMember, CDResult, _hasse_edges
 from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
+from cdlat.groups import from_cayley
+from cdlat.specparse import evaluate
 from cdlat.report import build_report, report_json
 from cdlat import subgroups
 from cdlat.subgroups import subnormal_defect
@@ -308,3 +312,31 @@ def test_max_subgroups_caps_the_subgroups_the_replay_discovers(monkeypatch):
     with pytest.raises(SubgroupCapExceeded):
         all_subgroups(g)
     assert report == build_report("D12 wr C2", g, result)
+
+
+@pytest.mark.parametrize("spec", ["D8 x D8 x C2", "D8 wr C2"])
+def test_lattice_is_invariant_under_relabelling(spec):
+    # the same group under shuffled labels (identity kept at 0), rebuilt
+    # from its bare table: the lattice must map over exactly
+    g = evaluate(spec)
+    n = g.order
+    label = [0] + random.Random(29).sample(range(1, n), n - 1)
+    old = sorted(range(n), key=label.__getitem__)
+    h = from_cayley([[label[g.mul(old[a], old[b])] for b in range(n)] for a in range(n)])
+
+    def relabel(mask):
+        return sum(1 << label[x] for x in range(n) if mask >> x & 1)
+
+    cg, ch = cd_lattice(g), cd_lattice(h)
+    assert ch.max_measure == cg.max_measure
+    position = [ch.index_of(relabel(m.subgroup.mask)) for m in cg.members]
+    assert sorted(position) == list(range(len(ch.members)))
+    for m, i in zip(cg.members, position):
+        twin = ch.members[i]
+        assert (twin.is_normal, twin.defect, twin.is_centrally_large) == (
+            m.is_normal,
+            m.defect,
+            m.is_centrally_large,
+        )
+        assert twin.centralizer_index == position[m.centralizer_index]
+    assert {(position[i], position[j]) for i, j in cg.hasse_edges} == set(ch.hasse_edges)

@@ -108,6 +108,22 @@ def test_all_subgroups_equals_subset_filtration(fam, n):
     assert got == brute_subgroup_masks(g)
 
 
+@pytest.mark.parametrize("spec, calls", [("S5", 1298), ("D8 wr C2", 5637)])
+def test_discovery_skips_each_tried_double_coset_class(monkeypatch, spec, calls):
+    # the search extends each subgroup K by one element x per double-coset
+    # class KxK u Kx^-1K; skipping only x itself repeats the same joins
+    count = [0]
+    extend = subgroups._extend
+
+    def counted(*args):
+        count[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(subgroups, "_extend", counted)
+    all_subgroups(fresh_group(spec))
+    assert count[0] == calls
+
+
 def test_subgroup_set_canonical_order():
     subs = all_subgroups(s4())
     keys = [h.key() for h in subs]
