@@ -263,26 +263,49 @@ def _discover(g: Group, within: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     adds and reorders nothing.  Every step reads the group's one shift
     table.
 
+    A subgroup's recorded generators are its lexicographically least
+    shortest generating sequence (the tests check this against a plain
+    search), so a new join <K, x> must have K's generators plus x as that
+    sequence.  It cannot, and `todo` skips x, if K is trivial (its joins
+    are the cyclic subgroups, found first), if x is at most K's last
+    generator (not ascending), if x is not the least generator x' of <x>,
+    or if h*x < x or x*h < x for some h in K: x' or that product gives
+    the same join from a sequence that sorts lower.
+
     Reports print those generators, so the traversal order is part of the
     output.  Elements are tried in g's index order, so for L <= H the run
     inside H records the same generators for L as the run inside G.
     """
     table, inv, bit = g.table, g._inv, _shift_table(g)
-    # the trivial and every cyclic subgroup, in generator order
+    # the trivial and every cyclic subgroup, in generator order; `least`
+    # holds the least generator x of each, and above[h] the x with
+    # h*x < x or x*h < x, as h = y*x^-1 or x^-1*y for a y < x in `within`
     found: dict[int, tuple[int, ...]] = {1: ()}
-    for x in bits_of(within)[1:]:
+    least = 0
+    above = [0] * g.order
+    elements = bits_of(within)
+    for i, x in enumerate(elements[1:], 1):
         mask = 1
         y = x
         while y != 0:
             mask |= bit[y]
             y = table[y][x]
-        found.setdefault(mask, (x,))
+        if mask not in found:
+            found[mask] = (x,)
+            least |= bit[x]
+            xi = inv[x]
+            for y in elements[:i]:
+                above[table[y][xi]] |= bit[x]
+                above[table[xi][y]] |= bit[x]
     yield from found.items()
-    worklist = list(found)
+    worklist = list(found)[1:]
     for kmask in worklist:  # which grows as joins are found
         gens = found[kmask]
         elems = bits_of(kmask)
-        todo = within & ~kmask
+        blocked = kmask
+        for h in elems:
+            blocked |= above[h]
+        todo = least & ~blocked & -(2 << gens[-1])
         while todo:
             x = (todo & -todo).bit_length() - 1
             new_mask, dclass = _extend(table, inv, bit, kmask, elems, gens, x)

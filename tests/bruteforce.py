@@ -7,9 +7,11 @@ extensions and caches, so the two paths can disagree when one is wrong.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from cdlat import Group
+from cdlat.groups import from_cayley
 
 
 def divisors(n: int) -> list[int]:
@@ -108,6 +110,23 @@ def brute_closure_mask(g: Group, seed) -> int:
     return mask
 
 
+def brute_generated_mask(g: Group, gens) -> int:
+    """<gens> as the orbit of the identity under right multiplication by
+    gens, one product per element and generator: in a finite group every
+    inverse is a positive power, so the orbit is closed."""
+    rows = g.table
+    seen = {0}
+    orbit = [0]
+    for a in orbit:
+        row_a = rows[a]
+        for s in gens:
+            b = row_a[s]
+            if b not in seen:
+                seen.add(b)
+                orbit.append(b)
+    return sum(1 << e for e in seen)
+
+
 def brute_normal_closure_mask(g: Group, big_mask: int, small_mask: int) -> int:
     """Closure of the set of all big-conjugates of all small elements."""
     big = [i for i in range(g.order) if big_mask >> i & 1]
@@ -197,6 +216,16 @@ def fresh_group(spec: str) -> Group:
     )
 
 
+def relabelled(g: Group, seed: int) -> tuple[Group, list[int]]:
+    """g under a seeded shuffle of its labels, the identity kept at 0,
+    rebuilt from its bare table, and the new label of each old one."""
+    n = g.order
+    label = [0] + random.Random(seed).sample(range(1, n), n - 1)
+    old = sorted(range(n), key=label.__getitem__)
+    rows = [[label[g.mul(old[a], old[b])] for b in range(n)] for a in range(n)]
+    return from_cayley(rows), label
+
+
 def brute_conjugate_mask(g: Group, hmask: int, x: int) -> int:
     """{x^-1 h x : h in H}, element by element."""
     xi = g.inv(x)
@@ -222,13 +251,14 @@ def brute_discovery(g: Group) -> list[tuple[int, tuple[int, ...]]]:
     """The subgroups of g in the order the discovery BFS meets them, each
     with the generators it is first reached by.  The cyclic subgroups come
     first, in element order; then each subgroup K in turn is joined, by
-    naive closure, with one element x of each right coset Kx in element
-    order, and a new join is appended with K's generators plus x."""
+    the orbit of brute_generated_mask, with one element x of each right
+    coset Kx in element order, and a new join is appended with K's
+    generators plus x."""
     n = g.order
     rows = g.table
     found = {1: ()}
     for x in range(1, n):
-        found.setdefault(brute_closure_mask(g, [x]), (x,))
+        found.setdefault(brute_generated_mask(g, [x]), (x,))
     worklist = list(found)
     full = (1 << n) - 1
     wi = 0
@@ -245,8 +275,43 @@ def brute_discovery(g: Group) -> list[tuple[int, tuple[int, ...]]]:
                 continue
             for h in members:
                 covered |= 1 << rows[h][x]
-            joined = brute_closure_mask(g, gens + (x,))
+            joined = brute_generated_mask(g, gens + (x,))
             if joined not in found:
                 found[joined] = gens + (x,)
                 worklist.append(joined)
     return list(found.items())
+
+
+def brute_lexmin_generators(g: Group, mask: int, joins: dict | None = None) -> tuple[int, ...]:
+    """The lexicographically least of the shortest sequences of elements
+    of H = `mask` that generate H.  That sequence is ascending, since
+    sorting a sequence never makes it larger, so this is a depth-first
+    search over ascending index sequences, one length at a time from 0
+    up.  An element already in the subgroup its prefix generates is never
+    tried: dropping it would leave a shorter sequence generating the same
+    subgroup, and every shorter length has failed.  `joins` memoizes the
+    orbits <prefix, y> by (<prefix>, y); calls on one group may share
+    it."""
+    elems = [x for x in range(g.order) if mask >> x & 1]
+    if joins is None:
+        joins = {}
+
+    def search(sub, seq, start, left):
+        if not left:
+            return seq if sub == mask else None
+        for i in range(start, len(elems)):
+            y = elems[i]
+            if sub >> y & 1:
+                continue
+            key = (sub, y)
+            if key not in joins:
+                joins[key] = brute_generated_mask(g, seq + (y,))
+            found = search(joins[key], seq + (y,), i + 1, left - 1)
+            if found is not None:
+                return found
+        return None
+
+    length = 0
+    while (found := search(1, (), 0, length)) is None:
+        length += 1
+    return found

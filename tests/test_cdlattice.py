@@ -1,7 +1,5 @@
 """Lattice extraction against the worked small-group examples."""
 
-import random
-
 import pytest
 
 from cdlat import (
@@ -23,13 +21,12 @@ from cdlat import (
 )
 from cdlat.cdlattice import CDMember, CDResult, _hasse_edges
 from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
-from cdlat.groups import from_cayley
 from cdlat.specparse import evaluate
 from cdlat.report import build_report, report_json
 from cdlat import subgroups
 from cdlat.subgroups import subnormal_defect
 
-from bruteforce import brute_cd_members, brute_centralizer_mask, fresh_group
+from bruteforce import brute_cd_members, brute_centralizer_mask, fresh_group, relabelled
 
 
 def masks(result):
@@ -320,9 +317,7 @@ def test_lattice_is_invariant_under_relabelling(spec):
     # from its bare table: the lattice must map over exactly
     g = evaluate(spec)
     n = g.order
-    label = [0] + random.Random(29).sample(range(1, n), n - 1)
-    old = sorted(range(n), key=label.__getitem__)
-    h = from_cayley([[label[g.mul(old[a], old[b])] for b in range(n)] for a in range(n)])
+    h, label = relabelled(g, 29)
 
     def relabel(mask):
         return sum(1 << label[x] for x in range(n) if mask >> x & 1)

@@ -42,10 +42,13 @@ from bruteforce import (
     brute_closure_mask,
     brute_conjugate_mask,
     brute_discovery,
+    brute_generated_mask,
+    brute_lexmin_generators,
     brute_normal_closure_mask,
     brute_normalizer_mask,
     brute_subgroup_masks,
     fresh_group,
+    relabelled,
 )
 
 
@@ -108,10 +111,15 @@ def test_all_subgroups_equals_subset_filtration(fam, n):
     assert got == brute_subgroup_masks(g)
 
 
-@pytest.mark.parametrize("spec, calls", [("S5", 1298), ("D8 wr C2", 5637)])
+@pytest.mark.parametrize(
+    "spec, calls",
+    [("S5", 197), ("D8 wr C2", 709), ("C2 x C2 x C2 x C2 x C2 x C2", 2761)],
+)
 def test_discovery_skips_each_tried_double_coset_class(monkeypatch, spec, calls):
     # the search extends each subgroup K by one element x per double-coset
-    # class KxK u Kx^-1K; skipping only x itself repeats the same joins
+    # class KxK u Kx^-1K, and only by an x that can give a new subgroup:
+    # a least generator of <x>, above K's last generator, and the least
+    # element of its cosets Kx and xK; dropping any of these repeats joins
     count = [0]
     extend = subgroups._extend
 
@@ -395,6 +403,37 @@ def test_discovery_order_matches_the_plain_coset_search():
         g = evaluate(spec)
         full = (1 << g.order) - 1
         assert list(subgroups._discover(g, full)) == brute_discovery(g), spec
+
+
+@pytest.mark.parametrize("seed", [3, 17, 41])
+@pytest.mark.parametrize("spec", ["S4", "Q8 x C4", "C6 wr C2", "D8 wr C2"])
+def test_discovery_matches_the_plain_coset_search_under_relabelling(spec, seed):
+    # the search prunes by index order (least generators, ascending
+    # sequences, least coset elements), so check it under shuffled labels
+    # too, with the identity kept at 0
+    h, _ = relabelled(evaluate(spec), seed)
+    assert list(subgroups._discover(h, (1 << h.order) - 1)) == brute_discovery(h)
+
+
+def test_recorded_generators_are_the_lexicographically_least_shortest():
+    # the search's pruning rests on this: each subgroup records the least,
+    # in index order, of its shortest generating sequences, which ascends
+    for spec in ORACLE_SPECS:
+        g = evaluate(spec)
+        joins = {}
+        for h in all_subgroups(g):
+            gens = h.generators()
+            assert all(a < b for a, b in zip(gens, gens[1:])), (spec, gens)
+            assert gens == brute_lexmin_generators(g, h.mask, joins), (spec, h.mask)
+
+
+def test_generated_mask_matches_the_pairwise_closure():
+    rng = random.Random(7)
+    for spec in ("S4", "Q8 x C4", "C6 wr C2"):
+        g = evaluate(spec)
+        for _ in range(30):
+            seed = rng.sample(range(g.order), rng.randint(0, 3))
+            assert brute_generated_mask(g, seed) == brute_closure_mask(g, seed), (spec, seed)
 
 
 @pytest.mark.parametrize("spec", ["S4", "D8 wr C2"])
