@@ -21,7 +21,6 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
     SubgroupCapExceeded,
-    TooLargeForIso,
     UnknownFixture,
 )
 from .report import (
@@ -42,12 +41,7 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_INVALID = 4
 
-_CAP_ERRORS = (
-    OrderCapExceeded,
-    EnumerationLimitExceeded,
-    SubgroupCapExceeded,
-    TooLargeForIso,
-)
+_CAP_ERRORS = (OrderCapExceeded, EnumerationLimitExceeded, SubgroupCapExceeded)
 _INVALID_ERRORS = (NotAGroup, BadParameter, UnknownFixture, OSError)
 
 

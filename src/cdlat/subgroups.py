@@ -128,55 +128,36 @@ def _shift_table(g: Group) -> Sequence[int]:
 
 
 def _extend(
-    table, inv, bit: Sequence[int], mask: int, elems: list[int], gens: Sequence[int], g: int
-) -> tuple[int, int]:
+    table, bit: Sequence[int], mask: int, elems: list[int], gens: Sequence[int], g: int
+) -> int:
     """Dimino step: close the subgroup H = (mask, gens) with one new
-    generator g, reading products from the group's table, inverses from
-    `inv` and single-bit masks from the group's shift table `bit`.
-    `elems` lists H's elements and is only read.
+    generator g, reading products from the group's table and single-bit
+    masks from the group's shift table `bit`.  `elems` lists H's elements
+    and is only read.
 
-    Returns the mask of <H, g>, a union of right cosets H*r, and the mask
-    of H u HgH u Hg^-1H, every y of which has <H, y> = <H, g>.  The first
-    walk fills the right cosets that g and g^-1 reach through H's
-    generators alone, which make up that double-coset class, and seeds
-    the second walk with r*g for each coset H*r it fills; the second goes
-    on from there through g as well.  Each coset is filled once, as in a
-    single walk.  Each walk appends to the list it iterates, and skips a
-    representative whose coset is already filled."""
-    gi = inv[g]
-    reps = [g] if gi == g else [g, gi]
-    outer = []
+    Returns the mask of <H, g>, a union of right cosets H*r.  The walk
+    starts at H*g, fills each coset once, and goes on from each coset H*r
+    it fills to H*r*s for every generator s of H and to H*r*g.  It appends
+    to the list it iterates, and skips a representative whose coset is
+    already filled."""
+    step = (*gens, g)
+    reps = [g]
     for r in reps:
         if mask & bit[r]:
             continue
         for h in elems:
             mask |= bit[table[h][r]]
         row_r = table[r]
-        outer.append(row_r[g])
-        for s in gens:
+        for s in step:
             t = row_r[s]
             if not mask & bit[t]:
                 reps.append(t)
-    dclass = mask
-    for r in outer:
-        if mask & bit[r]:
-            continue
-        for h in elems:
-            mask |= bit[table[h][r]]
-        row_r = table[r]
-        for s in gens:
-            t = row_r[s]
-            if not mask & bit[t]:
-                outer.append(t)
-        t = row_r[g]
-        if not mask & bit[t]:
-            outer.append(t)
-    return mask, dclass
+    return mask
 
 
 def _adjoin(g: Group, mask: int, gens: Sequence[int], x: int) -> int:
     """Mask of <H, x> for the subgroup H = (mask, gens) of g."""
-    return _extend(g.table, g._inv, _shift_table(g), mask, bits_of(mask), gens, x)[0]
+    return _extend(g.table, _shift_table(g), mask, bits_of(mask), gens, x)
 
 
 def closure(g: Group, seed: Iterable[int]) -> Subgroup:
@@ -257,11 +238,8 @@ def _discover(g: Group, within: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     generator order, then the collection closed under joins with cyclic
     subgroups, which realizes the pairwise-join fixpoint.  Each popped K
     is joined with the elements x outside it in index order, walking the
-    set bits of `todo`, lowest first.  The Dimino step also returns the
-    class KxK u Kx^-1K, every y of which gives <K, y> = <K, x>, so that
-    class leaves `todo`: its joins are already known, and skipping them
-    adds and reorders nothing.  Every step reads the group's one shift
-    table.
+    set bits of `todo`, lowest first, one Dimino step per x.  Every step
+    reads the group's one shift table.
 
     A subgroup's recorded generators are its lexicographically least
     shortest generating sequence (the tests check this against a plain
@@ -307,9 +285,10 @@ def _discover(g: Group, within: int) -> Iterator[tuple[int, tuple[int, ...]]]:
             blocked |= above[h]
         todo = least & ~blocked & -(2 << gens[-1])
         while todo:
-            x = (todo & -todo).bit_length() - 1
-            new_mask, dclass = _extend(table, inv, bit, kmask, elems, gens, x)
-            todo &= ~dclass
+            low = todo & -todo
+            todo ^= low
+            x = low.bit_length() - 1
+            new_mask = _extend(table, bit, kmask, elems, gens, x)
             if new_mask not in found:
                 found[new_mask] = gens + (x,)
                 worklist.append(new_mask)

@@ -1,9 +1,11 @@
 """The named-check registry: verdict shapes, gates, and paper examples."""
 
+import dataclasses
+
 import pytest
 
 from cdlat import check_ids, default_pairs, run_check, subgroups
-from cdlat.checks import CHECKS
+from cdlat.checks import CHECKS, CHECKS_BY_ID
 
 from bruteforce import fresh_group
 
@@ -83,6 +85,19 @@ def test_each_check_passes_on_its_example(check_id, spec):
         ("simple-cd", "C1", "trivial"),
         ("sym-cd", "S3", "S4 or S5"),
         ("cd-sublattice", "corpus:ut52", "too large"),
+        # the enumeration limit (order 512) of the other gated checks
+        ("cd-subnormal", "S6", "too large"),
+        ("useful-prop", "S6", "too large"),
+        ("simple-cd", "S6", "too large"),
+        ("measure-lemmas", "S6", "too large"),
+        ("direct-cd", "A5 x D12", "product too large"),
+        ("direct-cl", "A5 x D12", "product too large"),
+        ("wreath-self-c2", "S4 wr C2", "too large"),
+        ("wreath-cd-collapse", "C2 wr C7", "too large"),
+        ("wreath-mmm", "C2 wr C7", "too large"),
+        # a composite top order runs _is_prime's trial-division loop
+        ("wreath-cd-collapse", "C2 wr C4", "not prime"),
+        ("wreath-mmm", "C2 wr C4", "not prime"),
     ],
 )
 def test_hypothesis_gates_produce_skips(check_id, spec, reason_fragment):
@@ -90,6 +105,18 @@ def test_hypothesis_gates_produce_skips(check_id, spec, reason_fragment):
     assert v.status == "skipped"
     assert reason_fragment in v.stats["skip_reason"]
     assert v.witness is None
+
+
+def test_an_internal_assertion_becomes_a_failed_verdict(monkeypatch):
+    def broken(g):
+        raise AssertionError(f"invariant broken in {g.name}")
+
+    check = dataclasses.replace(CHECKS_BY_ID["sym-cd"], fn=broken)
+    monkeypatch.setitem(CHECKS_BY_ID, "sym-cd", check)
+    v = run_check("sym-cd", "S4")
+    assert v.status == "failed"
+    assert v.witness == {"note": "invariant broken in S4", "subgroups": []}
+    assert v.stats == {}
 
 
 def test_wreath_self_c2_skips_when_bottom_not_member():

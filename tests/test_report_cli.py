@@ -130,6 +130,28 @@ def test_cli_compute_cache_hit_is_byte_identical(tmp_path):
     assert jpath.read_text() == cold
 
 
+def test_cli_compute_caches_under_the_cache_dir_variable(tmp_path, monkeypatch, capsys):
+    env_cache, home, flag_cache = tmp_path / "env", tmp_path / "home", tmp_path / "flag"
+    monkeypatch.setenv("CDLAT_CACHE_DIR", str(env_cache))
+    monkeypatch.setenv("HOME", str(home))
+    # --cache-dir wins over the variable
+    assert main(["compute", "D8", "--cache-dir", str(flag_cache)]) == 0
+    (flag_entry,) = flag_cache.iterdir()
+    assert not env_cache.exists()
+    assert main(["compute", "D8"]) == 0
+    (entry,) = env_cache.iterdir()
+    assert entry.read_bytes() == flag_entry.read_bytes()
+
+    def no_evaluate(*args, **kwargs):
+        raise AssertionError("a cache hit evaluates no spec")
+
+    monkeypatch.setattr("cdlat.cli.evaluate", no_evaluate)
+    assert main(["compute", "D8"]) == 0
+    assert list(env_cache.iterdir()) == [entry]
+    assert not (home / ".cache").exists()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [lambda b: b[:100], lambda b: b[:-1], lambda b: b"{}\n", lambda b: b"\xff\xfe" + b[2:]],
@@ -420,6 +442,13 @@ def test_cli_rejects_negative_cap_flags(argv, capsys):
     assert f"argument {argv[-2]}: must be at least 0, got {argv[-1]}" in (
         capsys.readouterr().err
     )
+
+
+def test_cli_rejects_a_non_integer_cap_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "D8", "--no-cache", "--max-order", "x"])
+    assert exc.value.code == 2
+    assert "argument --max-order: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_cli_cap_flags_accept_zero(capsys):
