@@ -39,7 +39,6 @@ from .groups import (
     from_cayley,
     from_cayley_file,
     from_permutations,
-    group_isomorphic_small,
     load_cayley,
     named_group,
     ut_entry_bit,
@@ -72,7 +71,6 @@ from .subgroups import (
     center,
     centralizer,
     closure,
-    conjugate_subgroup,
     full_subgroup,
     is_normal,
     join_subgroups,

@@ -1,8 +1,8 @@
 """Command-line interface: compute lattices and verify the check corpus.
 
 Exit codes: 0 success (verify: no failures), 1 failed checks, 2 spec
-parse error or bad usage, 3 cap exceeded, 4 invalid group input or an
-output file that cannot be written.
+parse error or bad usage, 3 cap exceeded, 4 invalid group input, or an
+output file or cache entry that cannot be written.
 """
 
 from __future__ import annotations
@@ -170,7 +170,11 @@ def _cmd_compute(args) -> int:
     if cached is None:
         json_text = report_json(report)
         if key is not None:
-            cache_put(cache_dir, key, json_text)
+            try:
+                cache_put(cache_dir, key, json_text)
+            except OSError as exc:
+                failed = OSError(f"cannot write cache {cache_dir}: {exc.strerror or exc}")
+                return _emit_error(args, failed, EXIT_INVALID)
     else:
         json_text, report = cached
     if args.json and not _write(args.json, json_text):

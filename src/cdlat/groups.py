@@ -357,13 +357,17 @@ class PermutationGenSet:
 
         Each generator is a list of cycles, e.g. [[(1, 2), (3, 4)], [(1, 3)]]
         gives the two Klein generators.  Cycles within one generator are
-        applied left to right.
+        applied left to right.  A cycle's points are distinct and at least 1.
         """
         gens = [list(g) for g in gens]
         top = 0
         for cycles in gens:
             for cyc in cycles:
+                if len(set(cyc)) != len(cyc):
+                    raise BadParameter(f"cycle {cyc} repeats a point")
                 if cyc:
+                    if min(cyc) < 1:
+                        raise BadParameter(f"cycle point {min(cyc)} is below 1")
                     top = max(top, max(cyc))
         if degree is None:
             degree = max(top, 1)
@@ -628,62 +632,3 @@ def _unitriangular(n: int, max_order: int) -> Group:
         known_gens=gens,
     )
 
-
-# ---------------------------------------------------------------------------
-# Small-order isomorphism testing (element-order-profile guided search)
-
-
-ISO_ORDER_CAP = 16
-
-
-def group_isomorphic_small(a: Group, b: Group) -> bool:
-    """Brute-force isomorphism test for groups of order <= ISO_ORDER_CAP.
-
-    Candidate generator images are pruned by element-order profiles; the
-    induced map is then checked to be a bijective homomorphism.
-    """
-    if a.order > ISO_ORDER_CAP or b.order > ISO_ORDER_CAP:
-        raise OrderCapExceeded(f"isomorphism search capped at order {ISO_ORDER_CAP}")
-    if a.order != b.order:
-        return False
-    orders_a = [a.element_order(x) for x in range(a.order)]
-    orders_b = [b.element_order(x) for x in range(b.order)]
-    if sorted(orders_a) != sorted(orders_b):
-        return False
-    gens = generating_set(a)
-    candidates = [
-        [y for y in range(b.order) if orders_b[y] == orders_a[g]] for g in gens
-    ]
-
-    def extend(images: list[int]) -> bool:
-        if len(images) == len(gens):
-            return _induced_iso(a, b, gens, images)
-        for y in candidates[len(images)]:
-            if extend(images + [y]):
-                return True
-        return False
-
-    return extend([])
-
-
-def _induced_iso(a: Group, b: Group, gens: list[int], images: list[int]) -> bool:
-    fmap = {0: 0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for g, img in zip(gens, images):
-            y = a.mul(x, g)
-            fy = b.mul(fmap[x], img)
-            if y in fmap:
-                if fmap[y] != fy:
-                    return False
-            else:
-                fmap[y] = fy
-                queue.append(y)
-    if len(fmap) != a.order or len(set(fmap.values())) != b.order:
-        return False
-    return all(
-        fmap[a.mul(x, y)] == b.mul(fmap[x], fmap[y])
-        for x in range(a.order)
-        for y in range(a.order)
-    )

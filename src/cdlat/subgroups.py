@@ -397,17 +397,6 @@ def is_normal(g: Group, h: Subgroup) -> bool:
     return normalizer(g, h).order == g.order
 
 
-def conjugate_subgroup(g: Group, h: Subgroup, x: int) -> Subgroup:
-    """h^x = x^-1 h x."""
-    table = g.table
-    row_xi = table[g._inv[x]]
-    mask = 0
-    for e in h.elements():
-        mask |= 1 << table[row_xi[e]][x]
-    gens = tuple(table[row_xi[s]][x] for s in h.generators())
-    return Subgroup(g, mask, gens=gens)
-
-
 def normal_closure(big: Subgroup, small: Subgroup) -> Subgroup:
     """Smallest subgroup of `big` containing `small` and normal in `big`."""
     g = big.ambient

@@ -226,16 +226,6 @@ def relabelled(g: Group, seed: int) -> tuple[Group, list[int]]:
     return from_cayley(rows), label
 
 
-def brute_conjugate_mask(g: Group, hmask: int, x: int) -> int:
-    """{x^-1 h x : h in H}, element by element."""
-    xi = g.inv(x)
-    mask = 0
-    for h in range(g.order):
-        if hmask >> h & 1:
-            mask |= 1 << g.mul(g.mul(xi, h), x)
-    return mask
-
-
 def brute_permutation_table(g: Group) -> tuple[list[list[int]], list[int]]:
     """Products and inverses of a permutation group composed from its
     perm_images alone: a*b applies a's images first, then b's."""

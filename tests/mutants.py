@@ -1,0 +1,226 @@
+"""Mutation harness: each mutant breaks one rule that the tests must guard.
+
+Run it by hand from the repository root, for all mutants or some by name:
+
+    python -m tests.mutants
+    python -m tests.mutants discover-ascending-rule wreath-c1-sigma
+
+For each mutant it copies `src/`, `tests/` and `pyproject.toml` to a
+temporary directory, replaces one exact snippet of one source file there,
+runs the test files expected to catch the change with `-x -q`, and prints
+whether they killed it and how long they took.  It writes nothing inside
+the repository.  It exits 1 if any mutant survived, or if a run ended in
+anything but passing or failing tests (a collection or usage error says
+nothing about the tests).
+
+`tests/test_mutants.py` checks, in the tier-1 suite, that each snippet
+occurs exactly once in its file, so a refactor has to update this list
+rather than silently turn a mutant into a no-op.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # test files expected to kill it
+
+
+_SUBGROUPS = "src/cdlat/subgroups.py"
+_CDLATTICE = "src/cdlat/cdlattice.py"
+_GROUPS = "src/cdlat/groups.py"
+
+MUTANTS = (
+    # _discover's four pruning rules; dropping one repeats joins
+    Mutant(
+        "discover-trivial-rule",
+        _SUBGROUPS,
+        "    worklist = list(found)[1:]\n"
+        "    for kmask in worklist:  # which grows as joins are found\n"
+        "        gens = found[kmask]\n"
+        "        elems = bits_of(kmask)\n"
+        "        blocked = kmask\n"
+        "        for h in elems:\n"
+        "            blocked |= above[h]\n"
+        "        todo = least & ~blocked & -(2 << gens[-1])\n",
+        "    worklist = list(found)\n"
+        "    for kmask in worklist:  # which grows as joins are found\n"
+        "        gens = found[kmask]\n"
+        "        elems = bits_of(kmask)\n"
+        "        blocked = kmask\n"
+        "        for h in elems:\n"
+        "            blocked |= above[h]\n"
+        "        todo = least & ~blocked & (-(2 << gens[-1]) if gens else -1)\n",
+        ("tests/test_subgroups.py",),
+    ),
+    Mutant(
+        "discover-least-generator-rule",
+        _SUBGROUPS,
+        "todo = least & ~blocked & -(2 << gens[-1])",
+        "todo = within & ~blocked & -(2 << gens[-1])",
+        ("tests/test_subgroups.py",),
+    ),
+    Mutant(
+        "discover-ascending-rule",
+        _SUBGROUPS,
+        "todo = least & ~blocked & -(2 << gens[-1])",
+        "todo = least & ~blocked",
+        ("tests/test_subgroups.py",),
+    ),
+    Mutant(
+        "discover-coset-rule-hx",
+        _SUBGROUPS,
+        "                above[table[y][xi]] |= bit[x]\n",
+        "",
+        ("tests/test_subgroups.py",),
+    ),
+    Mutant(
+        "discover-coset-rule-xh",
+        _SUBGROUPS,
+        "                above[table[xi][y]] |= bit[x]\n",
+        "",
+        ("tests/test_subgroups.py",),
+    ),
+    # the centralizers in S are all intersections of element centralizers
+    Mutant(
+        "centralizers-skip-last",
+        _CDLATTICE,
+        "    for c in classes:\n",
+        "    for c in list(classes)[:-1]:\n",
+        ("tests/test_cdlattice.py",),
+    ),
+    Mutant(
+        "centralizers-no-intersections",
+        _CDLATTICE,
+        "closed |= {m & c for m in closed}",
+        "closed.add(c)",
+        ("tests/test_cdlattice.py",),
+    ),
+    # a wreath by C1 has a trivial top and no sigma generator
+    Mutant(
+        "wreath-c1-sigma",
+        "src/cdlat/products.py",
+        "top = (meta.sigma,) if n > 1 else ()",
+        "top = (meta.sigma,)",
+        ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "cache-dir-variable",
+        "src/cdlat/report.py",
+        "    if env:\n        return Path(env)\n",
+        "",
+        ("tests/test_report_cli.py",),
+    ),
+    Mutant(
+        "run-check-assertion-handler",
+        "src/cdlat/checks.py",
+        "    except AssertionError as exc:  # internal invariant surfaced as a failure\n"
+        '        status, witness, stats = "failed", {"note": str(exc), "subgroups": []}, {}\n',
+        "",
+        ("tests/test_checks.py",),
+    ),
+    # Light's test must try every generator of the greedy generating set
+    Mutant(
+        "light-skip-generator",
+        _GROUPS,
+        "    for s in generating_set(group):\n        row_s = row_of(table[s])\n",
+        "    for s in generating_set(group)[1:]:\n        row_s = row_of(table[s])\n",
+        ("tests/test_axioms.py", "tests/test_groups.py"),
+    ),
+    # input checks: cycle points, spec integers, the cache write
+    Mutant(
+        "cycle-point-below-one",
+        _GROUPS,
+        "                    if min(cyc) < 1:\n"
+        '                        raise BadParameter(f"cycle point {min(cyc)} is below 1")\n',
+        "",
+        ("tests/test_groups.py", "tests/test_report_cli.py"),
+    ),
+    Mutant(
+        "cycle-repeated-point",
+        _GROUPS,
+        "                if len(set(cyc)) != len(cyc):\n"
+        '                    raise BadParameter(f"cycle {cyc} repeats a point")\n',
+        "",
+        ("tests/test_groups.py", "tests/test_report_cli.py"),
+    ),
+    Mutant(
+        "spec-int-isdigit",
+        "src/cdlat/specparse.py",
+        "self.text[self.pos].isdecimal()",
+        "self.text[self.pos].isdigit()",
+        ("tests/test_specparse.py",),
+    ),
+    Mutant(
+        "compute-cache-write-error",
+        "src/cdlat/cli.py",
+        "            try:\n"
+        "                cache_put(cache_dir, key, json_text)\n"
+        "            except OSError as exc:\n",
+        "            try:\n"
+        "                cache_put(cache_dir, key, json_text)\n"
+        "            except ArithmeticError as exc:\n",
+        ("tests/test_report_cli.py",),
+    ),
+)
+
+
+def run(mutant: Mutant, scratch: Path) -> tuple[str, float]:
+    """Apply the mutant in a fresh copy under scratch and run its tests:
+    ("killed" | "survived" | "error", seconds)."""
+    work = scratch / mutant.name
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, work / part, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", work)
+    target = work / mutant.path
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant.snippet) != 1:
+        raise ValueError(f"{mutant.name}: snippet does not occur exactly once in {mutant.path}")
+    target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        argv, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    elapsed = time.perf_counter() - start
+    # pytest exits 1 when tests fail and 0 when all pass; other codes mean
+    # the run itself broke
+    outcome = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+    return outcome, elapsed
+
+
+def main(argv: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in argv] if argv else list(MUTANTS)
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="cdlat-mutants-") as scratch:
+        for mutant in chosen:
+            outcome, elapsed = run(mutant, Path(scratch))
+            bad += outcome != "killed"
+            print(f"{outcome:8}  {mutant.name:32}  {elapsed:6.1f} s", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

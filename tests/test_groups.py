@@ -15,7 +15,6 @@ from cdlat import (
     dump_cayley,
     from_cayley,
     from_permutations,
-    group_isomorphic_small,
     load_cayley,
     named_group,
     ut_entry_bit,
@@ -249,22 +248,6 @@ def test_ut52_sampled_associativity():
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
 
 
-def test_small_isomorphism_search():
-    d8 = named_group("D", 8)
-    q8 = named_group("Q", 8)
-    c8 = named_group("C", 8)
-    assert not group_isomorphic_small(d8, q8)
-    assert not group_isomorphic_small(d8, c8)
-    assert group_isomorphic_small(d8, d8)
-    klein = named_group("D", 4)
-    c2c2 = from_permutations(
-        PermutationGenSet.from_cycles([[(1, 2), (3, 4)], [(1, 3), (2, 4)]])
-    )
-    assert group_isomorphic_small(klein, c2c2)
-    with pytest.raises(OrderCapExceeded):
-        group_isomorphic_small(named_group("S", 4), named_group("S", 4))
-
-
 def test_cayley_file_comments_and_errors(tmp_path):
     path = tmp_path / "c3.cay"
     path.write_text("# cyclic of order 3\n3\n0 1 2\n1 2 0  # row\n2 0 1\n")
@@ -276,6 +259,21 @@ def test_cayley_file_comments_and_errors(tmp_path):
         load_cayley("2\n0 1\n")  # missing a row
     with pytest.raises(NotAGroup):
         load_cayley("x\n")
+
+
+@pytest.mark.parametrize(
+    "cycles, message",
+    [
+        ([[(3, 0)]], "cycle point 0 is below 1"),
+        ([[(1, 2)], [(3, 0)]], "cycle point 0 is below 1"),
+        ([[(2, -1)]], "cycle point -1 is below 1"),
+        ([[(1, 1)]], r"cycle \(1, 1\) repeats a point"),
+        ([[(1, 2, 3, 2)]], r"cycle \(1, 2, 3, 2\) repeats a point"),
+    ],
+)
+def test_cycles_reject_points_below_one_and_repeated_points(cycles, message):
+    with pytest.raises(BadParameter, match=message):
+        PermutationGenSet.from_cycles(cycles)
 
 
 PERMUTATION_CASES = {

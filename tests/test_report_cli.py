@@ -237,6 +237,43 @@ def test_cli_wreath_top_order_zero_is_invalid_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("perm:[(3,0)]", "cycle point 0 is below 1"),
+        ("perm:[(1,2),(3,0)]", "cycle point 0 is below 1"),
+        ("perm:[(1,1)]", "cycle (1, 1) repeats a point"),
+    ],
+)
+def test_cli_cycle_points_below_one_or_repeated_are_invalid_input(
+    spec, message, tmp_path, capsys
+):
+    err_json = tmp_path / "err.json"
+    assert main(["compute", spec, "--no-cache", "--json", str(err_json)]) == 4
+    assert json.loads(err_json.read_text()) == {
+        "error": {"type": "BadParameter", "message": message}
+    }
+    assert main(["compute", "perm:[(1)]", "--no-cache"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_compute_reports_a_failed_cache_write(tmp_path, monkeypatch, capsys):
+    from cdlat import cli
+
+    def refuse(cache_dir, key, text):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "cache_put", refuse)
+    cache, err_json = tmp_path / "cache", tmp_path / "err.json"
+    argv = ["compute", "D8", "--cache-dir", str(cache), "--json", str(err_json)]
+    assert main(argv) == 4
+    message = f"cannot write cache {cache}: Permission denied"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads(err_json.read_text()) == {
+        "error": {"type": "OSError", "message": message}
+    }
+
+
 def test_cli_compute_max_order_flag(tmp_path):
     # order cap applies to construction when lowered
     assert main(["compute", "S4", "--no-cache", "--max-order", "10"]) == 3

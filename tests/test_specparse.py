@@ -81,6 +81,24 @@ def test_parse_errors_carry_position(bad, pos_at_least):
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "bad, position",
+    [
+        ("C\u00b2", 1),
+        ("D\u00b9\u00b2", 1),
+        ("C2 wr C\u00b2", 7),
+        ("UT(\u00b2,2)", 3),
+        ("perm:[(1,\u00b2)]", 9),
+    ],
+)
+def test_superscript_digits_are_not_integers(bad, position):
+    # str.isdigit accepts superscripts that int() rejects; isdecimal does not
+    with pytest.raises(ParseError, match="^expected an integer") as err:
+        parse_spec(bad)
+    assert err.value.position == position
+    assert parse_spec("C\u0663") == FamilyAtom("C", 3)  # an Arabic-Indic 3
+
+
 def test_nesting_depth_counts_parentheses_products_and_wreaths():
     chain = " x ".join(["C1"] * 51)  # 50 products
     assert parse_spec("(" * 50 + chain + ")" * 50) == parse_spec(chain)
