@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .cdlattice import cd_lattice, cd_of_subgroup, measure
@@ -185,47 +186,25 @@ def _check_useful_prop(g: Group):
     return _passed(subgroups_enumerated=len(subs), pairs_checked=pairs)
 
 
-def _check_direct_cd(g: Group):
+def _check_direct(g: Group, cl: bool):
+    """CD(G x H) = CD(G) x CD(H), or with `cl` the same for CL, the
+    centrally large members."""
     meta = g.product_meta
     if not isinstance(meta, DirectProductMeta):
         return _skipped("not a direct product")
     if not _enumerable(g):
         return _skipped("product too large to enumerate")
-    left, right = meta.factors
-    got = set(cd_lattice(g).member_masks())
-    want = set()
-    for m1 in cd_lattice(left).members:
-        for m2 in cd_lattice(right).members:
-            want.add(product_subgroup(g, m1.subgroup, m2.subgroup).mask)
+    mine, left, right = (
+        [m.subgroup for m in cd_lattice(x).members if not cl or m.is_centrally_large]
+        for x in (g, *meta.factors)
+    )
+    got = {u.mask for u in mine}
+    want = {product_subgroup(g, x, y).mask for x in left for y in right}
     if got != want:
         extra = [Subgroup(g, m) for m in sorted(got ^ want)[:3]]
-        return _failed("CD of product differs from product of CDs", extra)
-    return _passed(
-        subgroups_enumerated=len(_subgroups(g)), members=len(got)
-    )
-
-
-def _check_direct_cl(g: Group):
-    meta = g.product_meta
-    if not isinstance(meta, DirectProductMeta):
-        return _skipped("not a direct product")
-    if not _enumerable(g):
-        return _skipped("product too large to enumerate")
-    left, right = meta.factors
-    got = set(cd_lattice(g).cl_masks())
-    want = set()
-    for x in cd_lattice(left).members:
-        if not x.is_centrally_large:
-            continue
-        for y in cd_lattice(right).members:
-            if y.is_centrally_large:
-                want.add(product_subgroup(g, x.subgroup, y.subgroup).mask)
-    if got != want:
-        extra = [Subgroup(g, m) for m in sorted(got ^ want)[:3]]
-        return _failed("CL of product differs from product of CLs", extra)
-    return _passed(
-        subgroups_enumerated=len(_subgroups(g)), members=len(got)
-    )
+        word = "CL" if cl else "CD"
+        return _failed(f"{word} of product differs from product of {word}s", extra)
+    return _passed(subgroups_enumerated=len(_subgroups(g)), members=len(got))
 
 
 def _check_wreath_base_centralizer(g: Group):
@@ -596,13 +575,13 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef(
         "direct-cd",
         "CD of a direct product is the product of the CDs",
-        _check_direct_cd,
+        partial(_check_direct, cl=False),
         _PRODUCT_SPECS,
     ),
     CheckDef(
         "direct-cl",
         "CL of a direct product is the product of the CLs",
-        _check_direct_cl,
+        partial(_check_direct, cl=True),
         _PRODUCT_SPECS,
     ),
     CheckDef(

@@ -49,12 +49,16 @@ class _FormulaRow:
         return self.mul(self.a, b)
 
 
-def product_table(order: int, mul: Callable, gens: Sequence[int], limit=TABLE_LIMIT):
-    """Tuple rows of `mul` for groups of order up to `limit`, gathered from
-    the rows of the generators `gens`, else a FormulaTable over it."""
+def product_table(
+    order: int, mul: Callable, gens: Sequence[int], limit=TABLE_LIMIT, *, row=None
+):
+    """The one place that picks a group's table: tuple rows up to `limit`,
+    gathered from the generator rows `row(s)` (by default read from `mul`),
+    and above it a FormulaTable over `mul`."""
     if order > limit:
         return FormulaTable(mul, order)
-    return gather_rows(order, gens, [[mul(s, b) for b in range(order)] for s in gens])
+    row = row or (lambda s: [mul(s, b) for b in range(order)])
+    return gather_rows(order, gens, [row(s) for s in gens])
 
 
 def gather_rows(order: int, gens: Sequence[int], gen_rows: Sequence[Sequence[int]]):
@@ -86,7 +90,8 @@ class Group:
     """Immutable finite group over element indices with identity at 0.
 
     `table[a][b]` is the product of a and b: tuple rows for tabulated
-    groups, a FormulaTable for formula-backed ones.
+    groups, a FormulaTable for formula-backed ones.  `known_gens` generate
+    it: the greedy generating_set when the constructor names none.
     """
 
     __slots__ = (
@@ -107,13 +112,12 @@ class Group:
         name: str,
         rows: Sequence[Sequence[int]] | FormulaTable,
         inv_table: Sequence[int] | None = None,
-        known_gens: Iterable[int] = (),
+        known_gens: Iterable[int] | None = None,
         perm_images: Sequence[tuple[int, ...]] | None = None,
         product_meta=None,
     ):
         self.order = order
         self.name = name
-        self.known_gens = tuple(known_gens)
         self.perm_images = tuple(perm_images) if perm_images is not None else None
         self.product_meta = product_meta
         if isinstance(rows, FormulaTable):
@@ -126,6 +130,7 @@ class Group:
             inv_table = [row.index(0) for row in self.table]
         self._inv = tuple(inv_table)
         self._cache = {}
+        self.known_gens = tuple(generating_set(self) if known_gens is None else known_gens)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -358,9 +363,11 @@ class PermutationGenSet:
         Each generator is a list of cycles, e.g. [[(1, 2), (3, 4)], [(1, 3)]]
         gives the two Klein generators.  Cycles within one generator are
         applied left to right.  A cycle's points are distinct and at least 1.
+        Without a `degree`, they act on the points the cycles name, ranked
+        in increasing order: [[(1, 300000)]] acts on two points, not 300000.
         """
         gens = [list(g) for g in gens]
-        top = 0
+        points = set()
         for cycles in gens:
             for cyc in cycles:
                 if len(set(cyc)) != len(cyc):
@@ -368,11 +375,13 @@ class PermutationGenSet:
                 if cyc:
                     if min(cyc) < 1:
                         raise BadParameter(f"cycle point {min(cyc)} is below 1")
-                    top = max(top, max(cyc))
+                    points.update(cyc)
         if degree is None:
-            degree = max(top, 1)
-        elif top > degree:
-            raise BadParameter(f"cycle point {top} exceeds degree {degree}")
+            rank = {pt: i for i, pt in enumerate(sorted(points), 1)}
+            gens = [[[rank[pt] for pt in cyc] for cyc in cycles] for cycles in gens]
+            degree = max(len(points), 1)
+        elif points and max(points) > degree:
+            raise BadParameter(f"cycle point {max(points)} exceeds degree {degree}")
         images = []
         for cycles in gens:
             img = list(range(degree))
@@ -425,15 +434,14 @@ def from_permutations(
     def mul(a: int, b: int, _e=elems, _i=index) -> int:
         return _i[_compose(_e[a], _e[b])]
 
-    if n > TABLE_LIMIT:
-        rows = FormulaTable(mul, n)
-    else:  # only the generator rows are composed
-        gen_rows = [[index[_compose(g, q)] for q in elems] for g in gen_perms]
-        rows = gather_rows(n, gens, gen_rows)
+    def row(s: int) -> list[int]:
+        p = elems[s]
+        return [index[_compose(p, q)] for q in elems]
+
     return Group(
         n,
         name=name or f"perm{n}",
-        rows=rows,
+        rows=product_table(n, mul, gens, row=row),
         inv_table=inv,
         known_gens=gens,
         perm_images=elems,

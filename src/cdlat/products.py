@@ -8,8 +8,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BadParameter, OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, TABLE_LIMIT, FormulaTable, Group, gather_rows
-from .groups import generating_set
+from .groups import DEFAULT_ORDER_CAP, Group, product_table
 from .subgroups import Subgroup, full_subgroup
 
 
@@ -28,16 +27,6 @@ class DirectProductMeta:
         return x
 
 
-def _leading_rows(g: Group, gens, block: int) -> list[list[int]]:
-    """Rows of the elements v * block, v in gens, where an index's leading
-    coordinate x // block multiplies in g and the rest x % block is kept."""
-    rest = range(block)
-    return [
-        [c * block + r for c in map(g.table[v].__getitem__, range(g.order)) for r in rest]
-        for v in gens
-    ]
-
-
 def direct_product(
     g: Group, h: Group, *, max_order: int = DEFAULT_ORDER_CAP
 ) -> Group:
@@ -49,33 +38,28 @@ def direct_product(
         )
     o2 = h.order
     right = f"({h.name})" if " x " in h.name else h.name
-    # only trust factor gens that actually generate; else leave empty and
-    # let full_subgroup fall back to greedy generation
-    if (g.known_gens or g.order == 1) and (h.known_gens or h.order == 1):
-        gens = tuple(x * o2 for x in g.known_gens) + h.known_gens
-    else:
-        gens = ()
     gt, ht = g.table, h.table
-    if order <= TABLE_LIMIT and g.rows() is not None and h.rows() is not None:
-        # (a, 0)(a', b') = (a a', b') and (0, b)(a', b') = (a', b b')
-        g_gens = g.known_gens or generating_set(g)
-        h_gens = h.known_gens or generating_set(h)
-        gen_rows = _leading_rows(g, g_gens, o2)
-        gen_rows += [[a + c for a in range(0, order, o2) for c in ht[b]] for b in h_gens]
-        table = gather_rows(order, [a * o2 for a in g_gens] + list(h_gens), gen_rows)
-    else:
+    g_elems, h_elems = range(g.order), range(o2)
 
-        def mul(x: int, y: int) -> int:
-            a1, b1 = divmod(x, o2)
-            a2, b2 = divmod(y, o2)
-            return gt[a1][a2] * o2 + ht[b1][b2]
+    def mul(x: int, y: int) -> int:
+        a1, b1 = divmod(x, o2)
+        a2, b2 = divmod(y, o2)
+        return gt[a1][a2] * o2 + ht[b1][b2]
 
-        table = FormulaTable(mul, order)
+    def row(x: int) -> list[int]:
+        # (a, b)(a', b') = (a a', b b'): row a of g, each entry shifted into
+        # the leading coordinate, beside row b of h
+        a, b = divmod(x, o2)
+        lead = [c * o2 for c in map(gt[a].__getitem__, g_elems)]
+        rest = list(map(ht[b].__getitem__, h_elems))
+        return [p + q for p in lead for q in rest]
+
+    gens = tuple(x * o2 for x in g.known_gens) + h.known_gens
     return Group(
         order,
         name=f"{g.name} x {right}",
-        rows=table,
-        inv_table=[g.inv(a) * o2 + h.inv(b) for a in range(g.order) for b in range(o2)],
+        rows=product_table(order, mul, gens, row=row),
+        inv_table=[g.inv(a) * o2 + h.inv(b) for a in g_elems for b in h_elems],
         known_gens=gens,
         product_meta=DirectProductMeta(factors=(g, h)),
     )
@@ -185,26 +169,23 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
     # generates the top, which is trivial when n == 1
     block = order // go
     top = (meta.sigma,) if n > 1 else ()
-    if g.known_gens or g.order == 1:
-        gens = tuple(x * block for x in g.known_gens) + top
-    else:
-        gens = ()
-    if order <= TABLE_LIMIT:
-        # e_0(v) multiplies the leading digit by v, and sigma sends (f, l)
-        # to (shifts[1][f], l + 1)
-        bottom = g.known_gens or generating_set(g)
-        gen_rows = _leading_rows(g, bottom, block)
-        if n > 1:
-            succ = [*range(1, n), 0]
-            gen_rows.append([f * n + l for f in shifts[1] for l in succ])
-        table = gather_rows(order, [v * block for v in bottom] + list(top), gen_rows)
-    else:
-        table = FormulaTable(mul, order)
+    gens = tuple(x * block for x in g.known_gens) + top
+    succ = [*range(1, n), 0]
+    rest = range(block)
+
+    def row(s: int) -> list[int]:
+        if s < block:  # sigma = 1, as every e_0(v) is at least block
+            # sigma sends (f, l) to (shifts[1][f], l + 1)
+            return [f * n + l for f in shifts[1] for l in succ]
+        # e_0(v) multiplies the leading digit by v and keeps the rest
+        lead = map(g.table[s // block].__getitem__, range(go))
+        return [c * block + r for c in lead for r in rest]
+
     bottom_name = f"({g.name})" if " " in g.name else g.name
     return Group(
         order,
         name=f"{bottom_name} wr C{n}",
-        rows=table,
+        rows=product_table(order, mul, gens, row=row),
         inv_table=inv,
         known_gens=gens,
         product_meta=meta,

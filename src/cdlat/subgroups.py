@@ -95,8 +95,7 @@ def trivial_subgroup(g: Group) -> Subgroup:
 def full_subgroup(g: Group) -> Subgroup:
     cached = g._cache.get("full_subgroup")
     if cached is None:
-        gens = g.known_gens or None
-        cached = Subgroup(g, (1 << g.order) - 1, gens=gens)
+        cached = Subgroup(g, (1 << g.order) - 1, gens=g.known_gens)
         g._cache["full_subgroup"] = cached
     return cached
 

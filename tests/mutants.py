@@ -44,6 +44,7 @@ class Mutant:
 _SUBGROUPS = "src/cdlat/subgroups.py"
 _CDLATTICE = "src/cdlat/cdlattice.py"
 _GROUPS = "src/cdlat/groups.py"
+_PRODUCTS = "src/cdlat/products.py"
 
 MUTANTS = (
     # _discover's four pruning rules; dropping one repeats joins
@@ -114,9 +115,25 @@ MUTANTS = (
     # a wreath by C1 has a trivial top and no sigma generator
     Mutant(
         "wreath-c1-sigma",
-        "src/cdlat/products.py",
+        _PRODUCTS,
         "top = (meta.sigma,) if n > 1 else ()",
         "top = (meta.sigma,)",
+        ("tests/test_tables.py",),
+    ),
+    # a group whose constructor names no generators takes greedy ones
+    Mutant(
+        "group-default-generators",
+        _GROUPS,
+        "generating_set(self) if known_gens is None else known_gens",
+        "() if known_gens is None else known_gens",
+        ("tests/test_tables.py", "tests/test_products.py"),
+    ),
+    # a direct product's generator rows multiply coordinate-wise
+    Mutant(
+        "direct-product-row",
+        _PRODUCTS,
+        "        a, b = divmod(x, o2)\n",
+        "        b, a = divmod(x, o2)\n",
         ("tests/test_tables.py",),
     ),
     Mutant(

@@ -26,7 +26,7 @@ from cdlat import (
 )
 from cdlat.products import DirectProductMeta, WreathMeta
 
-from bruteforce import brute_centralizer_mask, brute_closure_mask
+from bruteforce import brute_centralizer_mask, brute_closure_mask, brute_generated_mask
 
 
 def test_direct_product_klein():
@@ -231,9 +231,11 @@ def test_cl_of_product_is_product_of_cls():
 
 
 def test_wreath_base_over_a_bottom_without_known_generators():
+    # a Cayley table names no generators: the bottom takes its greedy ones
     bottom = from_cayley(named_group("D", 8).rows())
-    assert bottom.known_gens == ()
+    assert bottom.known_gens == (1, 2)
     w = wreath_cyclic(bottom, 2)
+    assert brute_generated_mask(w, w.known_gens) == (1 << w.order) - 1
     meta = w.product_meta
     base = base_subgroup(w)
     want = sum(1 << x for x in range(w.order) if meta.coord_of(x)[1] == 0)

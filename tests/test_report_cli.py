@@ -12,6 +12,7 @@ from cdlat import (
     cache_get,
     cache_put,
     cd_lattice,
+    evaluate,
     export_dot,
     named_group,
     report_json,
@@ -254,6 +255,19 @@ def test_cli_cycle_points_below_one_or_repeated_are_invalid_input(
         "error": {"type": "BadParameter", "message": message}
     }
     assert main(["compute", "perm:[(1)]", "--no-cache"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_perm_spec_memory_does_not_grow_with_its_point_labels(tmp_path, capsys):
+    # the permutations act on the points the cycles name, not on 1..max
+    reports = {}
+    for spec in ("perm:[(1,1000000)]", "perm:[(1,2)]"):
+        out = tmp_path / "out.json"
+        assert main(["compute", spec, "--no-cache", "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        reports[spec] = [report[k] for k in ("max_measure", "members", "hasse_edges")]
+    assert reports["perm:[(1,1000000)]"] == reports["perm:[(1,2)]"]
+    assert len(evaluate("perm:[(1,1000000)]").perm_images[0]) == 2
     capsys.readouterr()
 
 

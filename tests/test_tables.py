@@ -6,6 +6,7 @@ Each is checked against an independent formula or a brute-force oracle.
 """
 
 import random
+import re
 
 import pytest
 
@@ -26,10 +27,20 @@ from cdlat import (
     wreath_cyclic,
 )
 from cdlat import groups
-from cdlat.corpus import WREATH_CORPUS_SPECS, ut52_abelian_subgroup
+from cdlat.corpus import (
+    ENUMERABLE_WREATH_SPECS,
+    WREATH_CORPUS_SPECS,
+    universal_corpus_specs,
+    ut52_abelian_subgroup,
+)
 from cdlat.groups import FormulaTable, from_cayley, gather_rows
 
-from bruteforce import brute_centralizer_mask, brute_closure_mask
+from bruteforce import (
+    brute_centralizer_mask,
+    brute_closure_mask,
+    brute_generated_mask,
+    relabelled,
+)
 
 # wreaths with a trivial top, a trivial bottom, a four-slot base and a
 # wreath bottom (the last one trivial), beside the corpus
@@ -76,12 +87,12 @@ def test_large_wreath_table_matches_coordinate_formula_on_sampled_rows(spec):
         assert w.inv(x) == _coordinate_inverse(meta, x)
 
 
-def _check_direct_product(p):
+def _check_direct_product(p, xs=None):
     g, h = p.product_meta.factors
     o2 = h.order
     rows = p.rows()
     assert rows is not None
-    for x in range(p.order):
+    for x in range(p.order) if xs is None else xs:
         a1, b1 = divmod(x, o2)
         expect = tuple(
             g.mul(a1, a2) * o2 + h.mul(b1, b2) for a2 in range(g.order) for b2 in range(o2)
@@ -100,12 +111,13 @@ def test_direct_product_table_matches_coordinate_formula(spec):
 
 
 def test_direct_product_over_a_factor_without_known_gens():
-    # a Cayley-table factor carries no generators; the rows are gathered
-    # from a greedy generating set instead
+    # a Cayley table names no generators, so the group takes its greedy
+    # ones, and the product's rows are gathered from those
     d8 = from_cayley(named_group("D", 8).rows())
-    assert d8.known_gens == ()
+    assert d8.known_gens == (1, 2)
     p = direct_product(d8, named_group("C", 3))
-    assert p.known_gens == ()
+    assert p.known_gens == (3, 6, 1)
+    assert brute_generated_mask(p, p.known_gens) == (1 << p.order) - 1
     _check_direct_product(p)
 
 
@@ -187,9 +199,10 @@ def test_formula_backed_twin_agrees_with_table(spec):
 def test_formula_backed_direct_product_matches_the_table():
     d8, c4 = named_group("D", 8), named_group("C", 4)
     f, g = direct_product(_formula_twin(d8), c4), direct_product(d8, c4)
-    assert isinstance(f.table, FormulaTable) and g.rows() is not None
+    # the product is small enough to tabulate, read from the factor's formula
+    assert f.rows() is not None
+    assert f.rows() == g.rows()
     n = g.order
-    assert all(f.table[a][b] == g.table[a][b] for a in range(n) for b in range(n))
     assert [f.inv(x) for x in range(n)] == [g.inv(x) for x in range(n)]
     assert f.known_gens == g.known_gens
     assert report_json(build_report("D8 x C4", f, cd_lattice(f))) == report_json(
@@ -216,3 +229,36 @@ def test_ut52_closure_and_centralizer_match_bruteforce():
         h = closure(g, seed)
         assert h.mask == brute_closure_mask(g, seed)
         assert centralizer(g, h).mask == brute_centralizer_mask(g, h.mask)
+
+
+# the workloads of perfbench/run.py: its compute-mix and build-large specs
+BENCH_SPECS = (
+    "D8", "S5", "S3 x D8", "corpus:g32", "D8 wr C2", "D12 wr C2", "D8 x D8 x C2",
+    "C2 x C2 x C2 x C2 x C2 x C2", "UT(4,2) x C2",
+    "D8 wr C3", "S4 wr C2", "S6", "S3 wr C3", "corpus:ut52",
+)
+
+
+def _representation_cases():
+    oracle = universal_corpus_specs() + ("corpus:g32",) + ENUMERABLE_WREATH_SPECS
+    for spec in dict.fromkeys(oracle + BENCH_SPECS + ("S7", "UT(5,2) x C2")):
+        yield spec, evaluate(spec)
+    yield "cayley:D16 x D8", relabelled(evaluate("D16 x D8"), 3)[0]
+    d8, c3 = named_group("D", 8), named_group("C", 3)
+    for kind, bottom in (("cayley", from_cayley(d8.rows())), ("formula", _formula_twin(d8))):
+        yield f"{kind} D8 x C3", direct_product(bottom, c3)
+        yield f"C3 x {kind} D8", direct_product(c3, bottom)
+        yield f"{kind} D8 wr C2", wreath_cyclic(bottom, 2)
+
+
+def test_every_group_carries_generators_and_one_rule_picks_its_table():
+    # UT(n,2) tabulates up to UT_TABLE_LIMIT, every other group up to
+    # TABLE_LIMIT, whatever its factors are
+    for name, g in _representation_cases():
+        assert brute_generated_mask(g, g.known_gens) == (1 << g.order) - 1, name
+        ut = re.fullmatch(r"UT\(\d+,2\)", g.name)
+        limit = groups.UT_TABLE_LIMIT if ut else groups.TABLE_LIMIT
+        assert (g.rows() is None) == (g.order > limit), name
+    # so UT(5,2) x C2 is tabulated, its rows read from UT(5,2)'s formula
+    p = evaluate("UT(5,2) x C2")
+    _check_direct_product(p, random.Random(17).sample(range(p.order), 24))
