@@ -49,10 +49,6 @@ from .subgroups import (
     subnormal_defect,
 )
 
-# literal product sets are checked up to this many element pairs; larger
-# pairs fall back to the coset-counting identity |HK| = |H||K|/|H&K|
-_LITERAL_PRODUCT_LIMIT = 4096
-
 
 @dataclass
 class Verdict:
@@ -143,9 +139,8 @@ def _check_cd_sublattice(g: Group):
             inter_order = (h.mask & k.mask).bit_count()
             if h.order * k.order // inter_order != join.order:
                 return _failed("product set HK is smaller than the join", [h, k])
-            if h.order * k.order <= _LITERAL_PRODUCT_LIMIT:
-                if product_set_mask(g, h, k) != join.mask:
-                    return _failed("literal product set HK differs from join", [h, k])
+            if product_set_mask(g, h, k) != join.mask:
+                return _failed("literal product set HK differs from join", [h, k])
     return _passed(subgroups_enumerated=len(subs), pairs_checked=pairs)
 
 
@@ -433,11 +428,12 @@ def _check_ut52_not_self(g: Group):
     a = ut52_abelian_subgroup(g)
     if a.order != 64:
         return _failed(f"block subgroup has order {a.order}, expected 64", [a])
+    # a group generated by pairwise-commuting elements is abelian
     table = g.table
-    elems = a.elements()
-    for i, x in enumerate(elems):
+    gens = a.generators()
+    for i, x in enumerate(gens):
         row_x = table[x]
-        for y in elems[i + 1 :]:
+        for y in gens[i + 1 :]:
             if row_x[y] != table[y][x]:
                 return _failed("block subgroup is not abelian", [a])
     cent = centralizer(g, a)
@@ -500,39 +496,36 @@ def _check_measure_lemmas(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
     subs = _subgroups(g)
-    meas = {}
-    cents = {}
-    for h in subs:
-        c = centralizer(g, h)
-        cents[h.mask] = c
-        meas[h.mask] = h.order * c.order
-    for h in subs:
-        c = cents[h.mask]
-        if meas[h.mask] > meas[c.mask]:
-            return _failed("m(H) exceeds m(C(H))", [h, c])
-        if meas[h.mask] == meas[c.mask] and cents[c.mask].mask != h.mask:
-            return _failed("equal measures but H != C(C(H))", [h, c])
+    # per subgroup index: mask, order, index of C(H) and m(H)
+    masks = [h.mask for h in subs]
+    orders = [h.order for h in subs]
+    index = {m: i for i, m in enumerate(masks)}
+    cent = [index[centralizer(g, h).mask] for h in subs]
+    meas = [o * orders[c] for o, c in zip(orders, cent)]
+    for i, c in enumerate(cent):
+        if meas[i] > meas[c]:
+            return _failed("m(H) exceeds m(C(H))", [subs[i], subs[c]])
+        if meas[i] == meas[c] and cent[c] != i:
+            return _failed("equal measures but H != C(C(H))", [subs[i], subs[c]])
     join_of = lattice_join(subs)
-    pairs = 0
-    for i, h in enumerate(subs):
-        ch = cents[h.mask]
-        for j, k in enumerate(subs[i:], i):
-            pairs += 1
-            inter_mask = h.mask & k.mask
+    n = len(subs)
+    for i in range(n):
+        h_mask, h_order, h_meas = masks[i], orders[i], meas[i]
+        ch_mask, ch_order = masks[cent[i]], orders[cent[i]]
+        for j in range(i, n):
+            inter = index[h_mask & masks[j]]
             join = join_of(i, j)
-            lhs = meas[h.mask] * meas[k.mask]
-            rhs = meas[join.mask] * meas[inter_mask]
+            lhs = h_meas * meas[j]
+            rhs = meas[join] * meas[inter]
             if lhs > rhs:
-                return _failed("submultiplicativity fails", [h, k])
-            ck = cents[k.mask]
-            hk_is_join = h.order * k.order // inter_mask.bit_count() == join.order
-            cc_product_order = (
-                ch.order * ck.order // (ch.mask & ck.mask).bit_count()
-            )
-            conds = hk_is_join and cc_product_order == cents[inter_mask].order
+                return _failed("submultiplicativity fails", [subs[i], subs[j]])
+            hk_is_join = h_order * orders[j] // orders[inter] == orders[join]
+            ck = cent[j]
+            cc_product_order = ch_order * orders[ck] // (ch_mask & masks[ck]).bit_count()
+            conds = hk_is_join and cc_product_order == orders[cent[inter]]
             if (lhs == rhs) != conds:
-                return _failed("equality condition mismatch", [h, k])
-    return _passed(subgroups_enumerated=len(subs), pairs_checked=pairs)
+                return _failed("equality condition mismatch", [subs[i], subs[j]])
+    return _passed(subgroups_enumerated=n, pairs_checked=n * (n + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -725,5 +718,14 @@ def default_pairs(check_id: str | None = None) -> list[tuple[str, str]]:
 
 
 def run_pairs(pairs, max_order: int | None = None) -> list[Verdict]:
-    """Run (check_id, spec) pairs in order under the caps of `max_order`."""
-    return [run_check(cid, spec, max_order) for cid, spec in pairs]
+    """Run (check_id, spec) pairs in order under the caps of `max_order`,
+    parsing each distinct spec text once, when its first pair runs."""
+    nodes: dict[str, GroupSpec] = {}
+    verdicts = []
+    for cid, spec in pairs:
+        if isinstance(spec, str):
+            if spec not in nodes:
+                nodes[spec] = parse_spec(spec)
+            spec = nodes[spec]
+        verdicts.append(run_check(cid, spec, max_order))
+    return verdicts

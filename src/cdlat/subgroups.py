@@ -186,12 +186,12 @@ def join_subgroups(h: Subgroup, k: Subgroup) -> Subgroup:
     return Subgroup(g, mask, gens=tuple(gens))
 
 
-def lattice_join(subs: Sequence[Subgroup]) -> Callable[[int, int], Subgroup]:
-    """The join of subs[i] and subs[j], for every subgroup of a group
-    sorted by order, as all_subgroups returns them.  above[i] is the
-    bitset of the subgroups that contain subs[i], so the join is the first
-    subgroup in both bitsets: one containment test per pair up front, then
-    one AND per join."""
+def lattice_join(subs: Sequence[Subgroup]) -> Callable[[int, int], int]:
+    """The index in subs of the join of subs[i] and subs[j], for every
+    subgroup of a group sorted by order, as all_subgroups returns them.
+    above[i] is the bitset of the subgroups that contain subs[i], so the
+    join is the first subgroup in both bitsets: one containment test per
+    pair up front, then one AND per join."""
     masks = [h.mask for h in subs]
     above = [0] * len(masks)
     for j, m in enumerate(masks):
@@ -200,21 +200,25 @@ def lattice_join(subs: Sequence[Subgroup]) -> Callable[[int, int], Subgroup]:
             if not masks[i] & outside:
                 above[i] |= 1 << j
 
-    def join(i: int, j: int) -> Subgroup:
+    def join(i: int, j: int) -> int:
         both = above[i] & above[j]
-        return subs[(both & -both).bit_length() - 1]
+        return (both & -both).bit_length() - 1
 
     return join
 
 
 def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:
-    """Bitmask of the literal product set HK = {h*k}."""
+    """Bitmask of the literal product set HK = {h*k}, built as the union
+    of the right cosets H*b over b in K.  A b already in the union lies in
+    some coset H*b' filled before, so H*b = H*b' and b is skipped: |K|
+    membership tests and |HK| products instead of |H|*|K| products."""
+    table, bit = g.table, _shift_table(g)
+    left = h.elements()
     mask = 0
-    right = k.elements()
-    for a in h.elements():
-        row = g.table[a]
-        for b in right:
-            mask |= 1 << row[b]
+    for b in k.elements():
+        if not mask & bit[b]:
+            for a in left:
+                mask |= bit[table[a][b]]
     return mask
 
 

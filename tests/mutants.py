@@ -97,6 +97,22 @@ MUTANTS = (
         "",
         ("tests/test_subgroups.py",),
     ),
+    # HK is the union of the right cosets H*b, not of the left cosets b*H
+    Mutant(
+        "product-set-left-cosets",
+        _SUBGROUPS,
+        "mask |= bit[table[a][b]]",
+        "mask |= bit[table[b][a]]",
+        ("tests/test_subgroups.py",),
+    ),
+    # the join is the lowest subgroup above both, not the highest (G)
+    Mutant(
+        "measure-lemmas-join-index",
+        _SUBGROUPS,
+        "        return (both & -both).bit_length() - 1\n",
+        "        return both.bit_length() - 1\n",
+        ("tests/test_subgroups.py",),
+    ),
     # the centralizers in S are all intersections of element centralizers
     Mutant(
         "centralizers-skip-last",

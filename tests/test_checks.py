@@ -185,3 +185,65 @@ def test_cd_sublattice_never_searches_inside_a_proper_subgroup(monkeypatch):
     monkeypatch.setattr(subgroups, "_discover", spy)
     assert run_check("cd-sublattice", fresh_group("C6 wr C2")).status == "passed"
     assert within_seen and all(within == full for within, full in within_seen)
+
+
+def test_measure_lemmas_fails_on_a_wrong_centralizer(monkeypatch):
+    # C(G) of D8 reported as the trivial subgroup instead of the center
+    from cdlat import checks
+
+    true_centralizer = checks.centralizer
+
+    def wrong(g, h):
+        if h.order == g.order:
+            return subgroups.trivial_subgroup(g)
+        return true_centralizer(g, h)
+
+    monkeypatch.setattr(checks, "centralizer", wrong)
+    v = run_check("measure-lemmas", fresh_group("D8"))
+    assert v.status == "failed"
+    assert v.witness["note"] in {
+        "m(H) exceeds m(C(H))",
+        "equal measures but H != C(C(H))",
+        "submultiplicativity fails",
+        "equality condition mismatch",
+    }
+
+
+def test_ut52_check_fails_on_a_non_abelian_block(monkeypatch):
+    # the upper-left 4x4 block of UT(5,2) is UT(4,2): order 64, not abelian
+    from cdlat import checks, closure, evaluate, ut_entry_bit
+
+    def upper_left_block(g):
+        gens = [1 << ut_entry_bit(5, i, j) for i in range(4) for j in range(i + 1, 4)]
+        return closure(g, gens)
+
+    monkeypatch.setattr(checks, "ut52_abelian_subgroup", upper_left_block)
+    assert upper_left_block(evaluate("corpus:ut52")).order == 64
+    v = run_check("ut52-not-self", "corpus:ut52")
+    assert v.status == "failed"
+    assert v.witness["note"] == "block subgroup is not abelian"
+
+
+def test_run_pairs_parses_each_spec_once_in_order(monkeypatch):
+    from cdlat import ParseError, checks, run_pairs
+
+    parsed = []
+    parse = checks.parse_spec
+
+    def spy(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(checks, "parse_spec", spy)
+    pairs = [("sym-cd", "S4"), ("simple-cd", "C5"), ("sym-cd", "C5"), ("simple-cd", "S4")]
+    verdicts = run_pairs(pairs)
+    assert parsed == ["S4", "C5"]
+    assert [(v.check_id, v.group_spec) for v in verdicts] == pairs
+    assert [v.status for v in verdicts] == ["passed", "passed", "skipped", "skipped"]
+    # a bad spec raises at its own pair, after the pairs before it ran
+    ran = []
+    run = checks.run_check
+    monkeypatch.setattr(checks, "run_check", lambda *a: ran.append(a[0]) or run(*a))
+    with pytest.raises(ParseError):
+        run_pairs([("sym-cd", "S4"), ("sym-cd", "S("), ("sym-cd", "S5")])
+    assert ran == ["sym-cd"]

@@ -33,7 +33,7 @@ from cdlat.groups import TABLE_LIMIT
 from cdlat.report import build_report
 from cdlat.specparse import evaluate
 from cdlat import subgroups
-from cdlat.subgroups import bits_of, lattice_join, replay_subgroups
+from cdlat.subgroups import bits_of, lattice_join, product_set_mask, replay_subgroups
 
 from bruteforce import (
     brute_center_mask,
@@ -44,6 +44,7 @@ from bruteforce import (
     brute_lexmin_generators,
     brute_normal_closure_mask,
     brute_normalizer_mask,
+    brute_product_set,
     brute_subgroup_masks,
     fresh_group,
     relabelled,
@@ -343,8 +344,25 @@ def test_lattice_join_matches_brute_force_for_every_pair():
             for j, k in enumerate(subs):
                 pairs += 1
                 want = brute_closure_mask(g, bits_of(h.mask | k.mask))
-                assert join(i, j).mask == want, (g.name, h.mask, k.mask)
+                assert subs[join(i, j)].mask == want, (g.name, h.mask, k.mask)
     assert pairs == 22325
+
+
+def test_product_set_matches_brute_force_for_every_pair():
+    # the ordered pairs include HK that is not a subgroup and HK != KH
+    pairs = not_subgroup = not_commuting = 0
+    for g in pair_oracle_groups():
+        subs = all_subgroups(g)
+        masks = {h.mask for h in subs}
+        for h in subs:
+            for k in subs:
+                pairs += 1
+                want = brute_product_set(g, h.mask, k.mask)
+                assert product_set_mask(g, h, k) == want, (g.name, h.mask, k.mask)
+                not_subgroup += want not in masks
+                not_commuting += want != brute_product_set(g, k.mask, h.mask)
+    assert pairs == 22325
+    assert not_subgroup > 0 and not_commuting > 0
 
 
 def test_subnormal_defect_matches_brute_force_chain():
