@@ -6,10 +6,9 @@ element centralizers), so no subgroup enumeration is needed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import TooLargeForIso
 from .groups import Group
+from .records import Record
 from .subgroups import (
     Subgroup,
     bits_of,
@@ -68,10 +67,10 @@ def _maximal_centralizers(g: Group, within: int) -> tuple[int, list[tuple[int, i
     return best, pairs
 
 
-@dataclass(frozen=True)
-class CDMember:
+class CDMember(Record):
     """One maximal-measure subgroup with its report annotations."""
 
+    __slots__ = ("subgroup", "is_normal", "defect", "is_centrally_large", "centralizer_index")
     subgroup: Subgroup
     is_normal: bool
     defect: int
@@ -79,10 +78,10 @@ class CDMember:
     centralizer_index: int
 
 
-@dataclass(frozen=True)
-class CDResult:
+class CDResult(Record):
     """The maximal-measure sublattice of a group."""
 
+    __slots__ = ("group", "max_measure", "members", "hasse_edges")
     group: Group
     max_measure: int
     members: tuple[CDMember, ...]
@@ -168,10 +167,10 @@ def cl_subgroups(g: Group) -> tuple[Subgroup, ...]:
     return tuple(m.subgroup for m in result.members if m.is_centrally_large)
 
 
-@dataclass(frozen=True)
-class SubgroupCD:
+class SubgroupCD(Record):
     """Lattice of a subgroup S <= G, as masks of G."""
 
+    __slots__ = ("ambient", "max_measure", "member_masks", "cl_masks")
     ambient: Group
     max_measure: int
     member_masks: tuple[int, ...]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -31,6 +30,7 @@ from .products import (
     product_subgroup,
     wreath_cyclic,
 )
+from .records import Record
 from .specparse import GroupSpec, evaluate, parse_spec, spec_text
 from .subgroups import (
     DEFAULT_ENUM_LIMIT,
@@ -50,16 +50,31 @@ from .subgroups import (
 )
 
 
-@dataclass
 class Verdict:
-    """Outcome of one named check on one group."""
+    """Outcome of one named check on one group: a mutable, unhashable
+    record with the repr and equality of a `Record`."""
 
-    check_id: str
-    group_spec: str
-    status: str  # "passed" | "failed" | "skipped"
-    witness: dict | None = None
-    stats: dict = field(default_factory=dict)
-    elapsed: float = 0.0  # wall seconds; excluded from serialized reports
+    __slots__ = ("check_id", "group_spec", "status", "witness", "stats", "elapsed")
+
+    def __init__(
+        self,
+        check_id: str,
+        group_spec: str,
+        status: str,  # "passed" | "failed" | "skipped"
+        witness: dict | None = None,
+        stats: dict | None = None,  # None gives each verdict its own empty dict
+        elapsed: float = 0.0,  # wall seconds; excluded from serialized reports
+    ):
+        self.check_id = check_id
+        self.group_spec = group_spec
+        self.status = status
+        self.witness = witness
+        self.stats = {} if stats is None else stats
+        self.elapsed = elapsed
+
+    __repr__ = Record.__repr__
+    __eq__ = Record.__eq__
+    __hash__ = None
 
 
 def _passed(**stats) -> tuple[str, None, dict]:
@@ -532,8 +547,8 @@ def _check_measure_lemmas(g: Group):
 # registry
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(Record):
+    __slots__ = ("check_id", "claim", "fn", "default_specs")
     check_id: str
     claim: str
     fn: Callable

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .errors import UnknownFixture
 from .groups import Group, named_group, product_table, ut_entry_bit
+from .records import Record
 from .subgroups import Subgroup, closure
 
 # generator indices of the order-32 fixture under its normal-form encoding
@@ -39,8 +40,8 @@ def _build_ut52() -> Group:
     return named_group("UT", 5)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
+    __slots__ = ("name", "builder", "notes")
     name: str
     builder: Callable[[], Group]
     notes: str
@@ -106,9 +107,11 @@ _ATOM_ORDERS = {
 UNIVERSAL_MAX_ORDER = 24
 
 
+@cache
 def universal_corpus_specs() -> tuple[str, ...]:
     """Spec strings for the default corpus: all named-family atoms and all
-    multisets of atoms whose direct product has order <= UNIVERSAL_MAX_ORDER."""
+    multisets of atoms whose direct product has order <= UNIVERSAL_MAX_ORDER.
+    Built on the first call; later calls return the same tuple."""
     atoms = sorted(
         (name for name, o in _ATOM_ORDERS.items() if o <= UNIVERSAL_MAX_ORDER),
         key=lambda s: (_ATOM_ORDERS[s], s),

@@ -9,12 +9,12 @@ stored formula instead.  Both are read the same way, as group.table[a][b].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadParameter, NotAGroup, OrderCapExceeded
+from .records import Record
 
 DEFAULT_ORDER_CAP = 20000
 TABLE_LIMIT = 4096
@@ -338,14 +338,14 @@ def from_cayley_file(path) -> Group:
 # Permutation groups
 
 
-@dataclass(frozen=True)
-class PermutationGenSet:
+class PermutationGenSet(Record):
     """Generators of a permutation group on points 1..degree.
 
     Generators are stored in image form, 0-based: gen[i] is the image of
     point i.
     """
 
+    __slots__ = ("degree", "generators")
     degree: int
     generators: tuple[tuple[int, ...], ...]
 

@@ -5,17 +5,17 @@ quantify over."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import BadParameter, OrderCapExceeded
 from .groups import DEFAULT_ORDER_CAP, Group, product_table
+from .records import Record
 from .subgroups import Subgroup, full_subgroup
 
 
-@dataclass(frozen=True)
-class DirectProductMeta:
+class DirectProductMeta(Record):
     """Coordinate structure of a two-factor direct product."""
 
+    __slots__ = ("factors",)
     factors: tuple[Group, Group]
 
     def coord_of(self, x: int) -> tuple[int, int]:
@@ -101,8 +101,7 @@ def product_subgroup(p: Group, x: Subgroup, y: Subgroup) -> Subgroup:
 # Wreath products by a cyclic top
 
 
-@dataclass(frozen=True)
-class WreathMeta:
+class WreathMeta(Record):
     """Coordinate structure of W = G wr C_n.
 
     Base elements are functions f: slots -> G stored as n-digit base-|G|
@@ -110,6 +109,7 @@ class WreathMeta:
     n plus the power of the distinguished top generator sigma.
     """
 
+    __slots__ = ("bottom", "top_order")
     bottom: Group
     top_order: int
 

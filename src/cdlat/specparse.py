@@ -15,7 +15,6 @@ Grammar (left-associative, whitespace optional around operators):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import OrderCapExceeded, ParseError
@@ -29,43 +28,44 @@ from .groups import (
 )
 from .corpus import corpus_group
 from .products import direct_product, wreath_cyclic
+from .records import Record
 
 
-@dataclass(frozen=True)
-class FamilyAtom:
+class FamilyAtom(Record):
+    __slots__ = ("family", "param")
     family: str
     param: int
 
 
-@dataclass(frozen=True)
-class UTAtom:
+class UTAtom(Record):
+    __slots__ = ("n",)
     n: int
 
 
-@dataclass(frozen=True)
-class CorpusAtom:
+class CorpusAtom(Record):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class PermAtom:
+class PermAtom(Record):
+    __slots__ = ("generators",)
     # each generator is a tuple of cycles; each cycle a tuple of 1-based points
     generators: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-@dataclass(frozen=True)
-class CayleyAtom:
+class CayleyAtom(Record):
+    __slots__ = ("path",)
     path: str
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
+    __slots__ = ("left", "right")
     left: "GroupSpec"
     right: "GroupSpec"
 
 
-@dataclass(frozen=True)
-class Wreath:
+class Wreath(Record):
+    __slots__ = ("bottom", "top")
     bottom: "GroupSpec"
     top: int
 

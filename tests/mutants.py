@@ -210,6 +210,35 @@ MUTANTS = (
         "            except ArithmeticError as exc:\n",
         ("tests/test_report_cli.py",),
     ),
+    # the record classes: Verdict defaults and type-sensitive equality
+    Mutant(
+        "verdict-shared-stats",
+        "src/cdlat/checks.py",
+        "        stats: dict | None = None,  # None gives each verdict its own empty dict\n"
+        "        elapsed: float = 0.0,  # wall seconds; excluded from serialized reports\n"
+        "    ):\n"
+        "        self.check_id = check_id\n"
+        "        self.group_spec = group_spec\n"
+        "        self.status = status\n"
+        "        self.witness = witness\n"
+        "        self.stats = {} if stats is None else stats\n",
+        "        stats: dict = {},\n"
+        "        elapsed: float = 0.0,  # wall seconds; excluded from serialized reports\n"
+        "    ):\n"
+        "        self.check_id = check_id\n"
+        "        self.group_spec = group_spec\n"
+        "        self.status = status\n"
+        "        self.witness = witness\n"
+        "        self.stats = stats\n",
+        ("tests/test_records.py",),
+    ),
+    Mutant(
+        "spec-node-untyped-eq",
+        "src/cdlat/records.py",
+        "if other.__class__ is not self.__class__:",
+        "if not isinstance(other, Record):",
+        ("tests/test_records.py",),
+    ),
 )
 
 

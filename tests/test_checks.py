@@ -1,11 +1,9 @@
 """The named-check registry: verdict shapes, gates, and paper examples."""
 
-import dataclasses
-
 import pytest
 
 from cdlat import check_ids, default_pairs, run_check, subgroups
-from cdlat.checks import CHECKS, CHECKS_BY_ID
+from cdlat.checks import CHECKS, CHECKS_BY_ID, CheckDef
 
 from bruteforce import fresh_group
 
@@ -111,7 +109,8 @@ def test_an_internal_assertion_becomes_a_failed_verdict(monkeypatch):
     def broken(g):
         raise AssertionError(f"invariant broken in {g.name}")
 
-    check = dataclasses.replace(CHECKS_BY_ID["sym-cd"], fn=broken)
+    sym = CHECKS_BY_ID["sym-cd"]
+    check = CheckDef(sym.check_id, sym.claim, broken, sym.default_specs)
     monkeypatch.setitem(CHECKS_BY_ID, "sym-cd", check)
     v = run_check("sym-cd", "S4")
     assert v.status == "failed"
