@@ -183,9 +183,10 @@ def _check_useful_prop(g: Group):
     pairs = 0
     for m in result.members:
         u = m.subgroup
-        v = join_subgroups(u, centralizer(g, u))  # U C_G(U) is that join
+        # S contains the join U C_G(U) exactly when it contains both
+        v = u.mask | centralizer(g, u).mask
         for s in subs:
-            if s.mask == full_mask or v.mask & ~s.mask:
+            if s.mask == full_mask or v & ~s.mask:
                 continue
             pairs += 1
             sub_cd = cd_of_subgroup(g, s)

@@ -153,16 +153,14 @@ def _cmd_compute(args) -> int:
             caps = f"caps {order_cap} {enum_limit} {args.max_subgroups}"
             key = "\n".join([text, *digests, caps])
             cached = cache_get(cache_dir, key)
-        if cached is None or args.dot:
+        if cached is None:
             group = evaluate(node, max_order=order_cap)
             # the report replays a subgroup search, so compute keeps the
             # enumeration limit that cd_lattice itself does not need
             check_enumerable(group, enum_limit)
-            result = cd_lattice(group)
-            if cached is None:
-                report = build_report(
-                    text, group, result, max_subgroups=args.max_subgroups
-                )
+            report = build_report(
+                text, group, cd_lattice(group), max_subgroups=args.max_subgroups
+            )
     except _CAP_ERRORS as exc:
         return _emit_error(args, exc, EXIT_CAP)
     except _INVALID_ERRORS as exc:
@@ -179,7 +177,7 @@ def _cmd_compute(args) -> int:
         json_text, report = cached
     if args.json and not _write(args.json, json_text):
         return EXIT_INVALID
-    if args.dot and not _write(args.dot, export_dot(result)):
+    if args.dot and not _write(args.dot, export_dot(report)):
         return EXIT_INVALID
     _print_compute_summary(report)
     return EXIT_OK

@@ -8,7 +8,6 @@ stored formula instead.  Both are read the same way, as group.table[a][b].
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -474,9 +473,30 @@ def named_group(family: str, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> G
     raise BadParameter(f"unknown family {family!r}")
 
 
-def _cap(order: int, max_order: int, what: str) -> None:
+# str() prints ints of up to 4300 digits by default.  No group of a larger
+# order can be built, so such an order exceeds every cap and is reported
+# without its digits.
+_PRINTABLE = 10**4300
+
+
+def _order_product(factors: Iterable[int]) -> int | None:
+    """The product of factors >= 1, or None once a partial product reaches
+    _PRINTABLE, so no number much larger is ever built."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order >= _PRINTABLE:
+            return None
+    return order
+
+
+def _cap(order: int | None, max_order: int, what: str, verb: str = "has order") -> None:
+    """Raise OrderCapExceeded if `what` has more than max_order elements;
+    an order of None or past _PRINTABLE always does."""
+    if order is None or order >= _PRINTABLE:
+        raise OrderCapExceeded(f"{what} {verb} (more than 4300 digits) > cap {max_order}")
     if order > max_order:
-        raise OrderCapExceeded(f"{what} has order {order} > cap {max_order}")
+        raise OrderCapExceeded(f"{what} {verb} {order} > cap {max_order}")
 
 
 def _cyclic(n: int, max_order: int) -> Group:
@@ -553,7 +573,7 @@ def _quaternion(n: int, max_order: int) -> Group:
 def _symmetric(n: int, max_order: int) -> Group:
     if n < 1:
         raise BadParameter(f"S_n needs n >= 1, got {n}")
-    _cap(math.factorial(n), max_order, f"S{n}")
+    _cap(_order_product(range(2, n + 1)), max_order, f"S{n}")
     gens = []
     if n >= 2:
         gens.append([(1, 2)])
@@ -566,8 +586,7 @@ def _symmetric(n: int, max_order: int) -> Group:
 def _alternating(n: int, max_order: int) -> Group:
     if n < 1:
         raise BadParameter(f"A_n needs n >= 1, got {n}")
-    order = math.factorial(n) // 2 if n >= 2 else 1
-    _cap(order, max_order, f"A{n}")
+    _cap(_order_product(range(3, n + 1)), max_order, f"A{n}")  # n!/2
     gens = [[(i, i + 1, i + 2)] for i in range(1, n - 1)]
     pgs = PermutationGenSet.from_cycles(gens, degree=n)
     return from_permutations(pgs, max_order=max_order, name=f"A{n}")
@@ -594,7 +613,7 @@ def _unitriangular(n: int, max_order: int) -> Group:
     if n < 2:
         raise BadParameter(f"UT(n, 2) needs n >= 2, got {n}")
     bits = n * (n - 1) // 2
-    order = 1 << bits
+    order = _order_product(2 for _ in range(bits))
     _cap(order, max_order, f"UT({n},2)")
     positions = [(r, c) for r in range(n) for c in range(r + 1, n)]
 

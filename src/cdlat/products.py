@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BadParameter, OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, Group, product_table
+from .errors import BadParameter
+from .groups import DEFAULT_ORDER_CAP, Group, _cap, _order_product, product_table
 from .records import Record
 from .subgroups import Subgroup, full_subgroup
 
@@ -32,10 +32,7 @@ def direct_product(
 ) -> Group:
     """Componentwise product on index pairs (a, b) packed as a*|H| + b."""
     order = g.order * h.order
-    if order > max_order:
-        raise OrderCapExceeded(
-            f"|{g.name} x {h.name}| = {order} > cap {max_order}"
-        )
+    _cap(order, max_order, f"|{g.name} x {h.name}|", "=")
     o2 = h.order
     right = f"({h.name})" if " x " in h.name else h.name
     gt, ht = g.table, h.table
@@ -137,13 +134,12 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
     shifts base coordinates cyclically."""
     if n < 1:
         raise BadParameter(f"wreath top order must be >= 1, got {n}")
-    order = n * g.order**n
-    if order > max_order:
-        raise OrderCapExceeded(
-            f"|{g.name} wr C{n}| = {order} > cap {max_order}"
-        )
-    meta = WreathMeta(bottom=g, top_order=n)
     go = g.order
+    # n * go**n one factor at a time, skipping the factors 1 of a trivial G
+    powers = (go for _ in range(n if go > 1 else 0))
+    order = _order_product(itertools.chain((n,), powers))
+    _cap(order, max_order, f"|{g.name} wr C{n}|", "=")
+    meta = WreathMeta(bottom=g, top_order=n)
     size = go**n
     # shifts[k][f] is the base element s -> f(s + k): the base index with
     # its k leading digits rotated to the end

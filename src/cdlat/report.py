@@ -86,19 +86,20 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def export_dot(result: CDResult) -> str:
-    """Hasse diagram in DOT: one node per member labeled with its order
-    plus [N]/[CL] flags, one edge per cover relation."""
+def export_dot(report: dict) -> str:
+    """Hasse diagram in DOT of a build_report report, cached or fresh: one
+    node per member labeled with its order plus [N]/[CL] flags, one edge
+    per cover relation."""
     lines = ["digraph cd_lattice {", "  rankdir=BT;"]
-    for i, m in enumerate(result.members):
+    for i, m in enumerate(report["members"]):
         flags = ""
-        if m.is_normal:
+        if m["is_normal"]:
             flags += "[N]"
-        if m.is_centrally_large:
+        if m["is_centrally_large"]:
             flags += "[CL]"
-        label = f"o={m.subgroup.order}" + (f" {flags}" if flags else "")
+        label = f"o={m['order']}" + (f" {flags}" if flags else "")
         lines.append(f'  n{i} [label="{label}"];')
-    for lo, hi in result.hasse_edges:
+    for lo, hi in report["hasse_edges"]:
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -79,6 +79,10 @@ _FAMILY_LETTERS = "SACDQ"
 # the printer or the evaluator.
 MAX_SPEC_DEPTH = 100
 
+# Most digits a spec integer may have: int() converts this many under every
+# interpreter digit-limit setting, and no group parameter needs more.
+_MAX_INT_DIGITS = 640
+
 
 class _Scanner:
     def __init__(self, text: str):
@@ -112,6 +116,8 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start, ("INT",))
+        if self.pos - start > _MAX_INT_DIGITS:
+            raise ParseError(f"integer longer than {_MAX_INT_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def take_name(self) -> str:

@@ -63,8 +63,10 @@ class Subgroup:
         return bits_of(self.mask)
 
     def generators(self) -> tuple[int, ...]:
+        """The recorded generators, or else the greedy ones: each is the
+        least element outside the subgroup its predecessors generate."""
         if self._gens is None:
-            self._gens = _greedy_generators(self.ambient, self.mask)
+            self._gens = _grow(self.ambient, 1, [], self.elements()).generators()
         return self._gens
 
     def __contains__(self, x: int) -> bool:
@@ -154,36 +156,31 @@ def _extend(
     return mask
 
 
-def _adjoin(g: Group, mask: int, gens: Sequence[int], x: int) -> int:
-    """Mask of <H, x> for the subgroup H = (mask, gens) of g."""
-    return _extend(g.table, _shift_table(g), mask, bits_of(mask), gens, x)
-
-
-def closure(g: Group, seed: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of g containing the seed indices."""
-    mask = 1
-    gens: list[int] = []
-    for x in sorted(set(seed)):
-        if not 0 <= x < g.order:
-            raise ValueError(f"seed index {x} outside 0..{g.order - 1}")
+def _grow(g: Group, mask: int, gens: list[int], xs: Iterable[int]) -> Subgroup:
+    """The subgroup generated by H = (mask, gens) and the elements xs
+    yields: each x outside the growing mask is adjoined by one Dimino step
+    and appended to gens, which xs may read as it grows."""
+    for x in xs:
         if not mask >> x & 1:
-            mask = _adjoin(g, mask, gens, x)
+            mask = _extend(g.table, _shift_table(g), mask, bits_of(mask), gens, x)
             gens.append(x)
     return Subgroup(g, mask, gens=tuple(gens))
 
 
+def closure(g: Group, seed: Iterable[int]) -> Subgroup:
+    """Smallest subgroup of g containing the seed indices."""
+    xs = sorted(set(seed))
+    for x in xs:
+        if not 0 <= x < g.order:
+            raise ValueError(f"seed index {x} outside 0..{g.order - 1}")
+    return _grow(g, 1, [], xs)
+
+
 def join_subgroups(h: Subgroup, k: Subgroup) -> Subgroup:
     """Smallest subgroup containing both h and k."""
-    g = h.ambient
-    if k.ambient is not g:
+    if k.ambient is not h.ambient:
         raise ValueError("subgroups live in different ambient groups")
-    mask = h.mask
-    gens = list(h.generators())
-    for s in k.generators():
-        if not mask >> s & 1:
-            mask = _adjoin(g, mask, gens, s)
-            gens.append(s)
-    return Subgroup(g, mask, gens=tuple(gens))
+    return _grow(h.ambient, h.mask, list(h.generators()), k.generators())
 
 
 def lattice_join(subs: Sequence[Subgroup]) -> Callable[[int, int], int]:
@@ -220,17 +217,6 @@ def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:
             for a in left:
                 mask |= bit[table[a][b]]
     return mask
-
-
-def _greedy_generators(g: Group, mask: int) -> tuple[int, ...]:
-    cur = 1
-    gens: list[int] = []
-    while cur != mask:
-        left = mask & ~cur
-        x = (left & -left).bit_length() - 1
-        cur = _adjoin(g, cur, gens, x)
-        gens.append(x)
-    return tuple(gens)
 
 
 def _discover(g: Group, within: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -408,21 +394,13 @@ def normal_closure(big: Subgroup, small: Subgroup) -> Subgroup:
     if small.mask & ~big.mask:
         raise ValueError("normal_closure needs small <= big")
     table = g.table
-    mask = small.mask
     gens = list(small.generators())
     kgens = [(k, g.inv(k)) for k in big.generators()]
-    # the mask only grows, so each generator is conjugated by each of
-    # big's generators once; a conjugate outside the mask joins gens
-    gi = 0
-    while gi < len(gens):
-        row_s = table[gens[gi]]
-        gi += 1
-        for k, ki in kgens:
-            c = table[ki][row_s[k]]
-            if not mask >> c & 1:
-                mask = _adjoin(g, mask, gens, c)
-                gens.append(c)
-    return Subgroup(g, mask, gens=tuple(gens))
+    # the mask only grows, so each generator, those the fold appends
+    # included, is conjugated by each of big's generators once
+    rows = map(table.__getitem__, gens)
+    conjugates = (table[ki][row_s[k]] for row_s in rows for k, ki in kgens)
+    return _grow(g, small.mask, gens, conjugates)
 
 
 def subnormal_defect(g: Group, h: Subgroup) -> int | None:

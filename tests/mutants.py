@@ -97,6 +97,22 @@ MUTANTS = (
         "",
         ("tests/test_subgroups.py",),
     ),
+    # the fold conjugates the generators it appends too, and greedy
+    # generators are the least elements outside the span so far
+    Mutant(
+        "normal-closure-small-generators-only",
+        _SUBGROUPS,
+        "rows = map(table.__getitem__, gens)",
+        "rows = map(table.__getitem__, small.generators())",
+        ("tests/test_subgroups.py",),
+    ),
+    Mutant(
+        "greedy-generators-descending",
+        _SUBGROUPS,
+        "_grow(self.ambient, 1, [], self.elements())",
+        "_grow(self.ambient, 1, [], self.elements()[::-1])",
+        ("tests/test_subgroups.py",),
+    ),
     # HK is the union of the right cosets H*b, not of the left cosets b*H
     Mutant(
         "product-set-left-cosets",

@@ -165,6 +165,23 @@ def test_named_order_cap():
         named_group("S", 9)
 
 
+def test_named_order_cap_prints_orders_of_up_to_4300_digits():
+    # str() prints ints of up to 4300 digits by default; 1558! has 4300
+    with pytest.raises(OrderCapExceeded) as err:
+        named_group("S", 1558)
+    assert str(err.value) == f"S1558 has order {math.factorial(1558)} > cap 20000"
+    huge = 10**600
+    for family, n, name in (
+        ("S", 1559, "S1559"),
+        ("A", 1559, "A1559"),
+        ("UT", 70000, "UT(70000,2)"),
+        ("UT", huge, f"UT({huge},2)"),
+    ):
+        with pytest.raises(OrderCapExceeded) as err:
+            named_group(family, n)
+        assert str(err.value) == f"{name} has order (more than 4300 digits) > cap 20000"
+
+
 @pytest.mark.parametrize(
     "family, n",
     [("C", 6), ("D", 8), ("D", 12), ("Q", 8), ("Q", 16), ("S", 4), ("A", 4), ("UT", 3), ("UT", 4)],

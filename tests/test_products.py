@@ -130,6 +130,18 @@ def test_wreath_orders():
         wreath_cyclic(named_group("S", 4), 3)
 
 
+def test_wreath_cap_builds_no_order_far_past_it():
+    # 3**30000000 alone takes seconds to build and has too many digits to print
+    for n in (20000, 30000000, 10**600):
+        with pytest.raises(OrderCapExceeded) as err:
+            wreath_cyclic(named_group("C", 3), n)
+        assert str(err.value) == f"|C3 wr C{n}| = (more than 4300 digits) > cap 20000"
+    # a trivial bottom contributes no factor, so a huge top is no long loop
+    with pytest.raises(OrderCapExceeded) as err:
+        wreath_cyclic(named_group("C", 1), 10**600)
+    assert str(err.value) == f"|C1 wr C{10**600}| = {10**600} > cap 20000"
+
+
 def test_wreath_meta_and_base():
     g = named_group("S", 3)
     w = wreath_cyclic(g, 2)

@@ -61,11 +61,11 @@ def test_json_round_trip_and_determinism():
 
 
 def test_dot_format():
-    g = named_group("S", 3)
-    dot = export_dot(cd_lattice(g))
+    dot = export_dot(s3_report())
     assert 'n0 [label="o=3 [N][CL]"];' in dot
     assert dot.startswith("digraph cd_lattice {")
-    d8 = export_dot(cd_lattice(named_group("D", 8)))
+    d8_group = named_group("D", 8)
+    d8 = export_dot(build_report("D8", d8_group, cd_lattice(d8_group)))
     assert d8.count("->") == 6
     assert 'label="o=2 [N]"' in d8  # the center: normal but not CL
 
@@ -112,6 +112,37 @@ def test_cli_compute_json_and_dot(tmp_path, capsys):
     assert dpath.read_text().count("->") == 6
     out = capsys.readouterr().out
     assert "max measure:  16" in out
+
+
+D8_DOT = """digraph cd_lattice {
+  rankdir=BT;
+  n0 [label="o=2 [N]"];
+  n1 [label="o=4 [N][CL]"];
+  n2 [label="o=4 [N][CL]"];
+  n3 [label="o=4 [N][CL]"];
+  n4 [label="o=8 [N][CL]"];
+  n0 -> n1;
+  n0 -> n2;
+  n0 -> n3;
+  n1 -> n4;
+  n2 -> n4;
+  n3 -> n4;
+}
+"""
+
+
+def test_cli_compute_dot_on_a_cache_hit_matches_a_miss(tmp_path, monkeypatch, capsys):
+    miss, hit = tmp_path / "miss.dot", tmp_path / "hit.dot"
+    args = ["compute", "D8", "--cache-dir", str(tmp_path / "cache"), "--dot"]
+    assert main(args + [str(miss)]) == 0
+
+    def no_evaluate(*args, **kwargs):
+        raise AssertionError("a cache hit builds no group")
+
+    monkeypatch.setattr("cdlat.cli.evaluate", no_evaluate)
+    assert main(args + [str(hit)]) == 0
+    assert hit.read_bytes() == miss.read_bytes() == D8_DOT.encode()
+    capsys.readouterr()
 
 
 def test_cli_compute_cache_hit_is_byte_identical(tmp_path):
@@ -229,6 +260,36 @@ def test_cli_compute_refuses_past_the_enumeration_limit_before_the_lattice(
     )
     assert calls == []
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "S2000", "--no-cache"],
+        ["compute", "A3000", "--no-cache"],
+        ["compute", "C2 wr C20000", "--no-cache"],
+        ["compute", "UT(70000,2)", "--no-cache"],
+        ["compute", "C3 wr C30000000", "--no-cache"],
+        ["verify", "all", "S2000"],
+    ],
+    ids=lambda argv: argv[-2] if argv[0] == "compute" else "verify",
+)
+def test_cli_orders_too_large_to_print_exceed_the_cap(argv, tmp_path, capsys):
+    # each exact order has more than the 4300 digits str() prints
+    out = tmp_path / "e.json"
+    assert main(argv + ["--json", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("(more than 4300 digits) > cap 20000\n")
+    assert json.loads(out.read_text())["error"]["type"] == "OrderCapExceeded"
+
+
+def test_cli_spec_integer_too_long_for_int_is_a_parse_error(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    assert main(["compute", "C" + "9" * 5000, "--no-cache", "--json", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: integer longer than 640 digits at position 1\n"
+    assert json.loads(out.read_text())["error"]["type"] == "ParseError"
 
 
 def test_cli_wreath_top_order_zero_is_invalid_input(tmp_path, capsys):

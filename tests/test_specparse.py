@@ -99,6 +99,20 @@ def test_superscript_digits_are_not_integers(bad, position):
     assert parse_spec("C\u0663") == FamilyAtom("C", 3)  # an Arabic-Indic 3
 
 
+@pytest.mark.parametrize(
+    "template, position",
+    [("C{}", 1), ("C2 wr C{}", 7), ("UT({},2)", 3), ("perm:[(1,{})]", 9)],
+)
+def test_spec_integers_past_640_digits_are_parse_errors(template, position):
+    # int() converts 640 digits under every interpreter digit limit
+    parse_spec(template.format("9" * 640))
+    assert parse_spec("C" + "9" * 640) == FamilyAtom("C", 10**640 - 1)
+    for digits in (641, 5000):
+        with pytest.raises(ParseError, match="^integer longer than 640 digits") as err:
+            parse_spec(template.format("9" * digits))
+        assert err.value.position == position
+
+
 def test_nesting_depth_counts_parentheses_products_and_wreaths():
     chain = " x ".join(["C1"] * 51)  # 50 products
     assert parse_spec("(" * 50 + chain + ")" * 50) == parse_spec(chain)

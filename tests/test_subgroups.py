@@ -436,6 +436,21 @@ def test_recorded_generators_are_the_lexicographically_least_shortest():
             assert gens == brute_lexmin_generators(g, h.mask, joins), (spec, h.mask)
 
 
+def test_generators_of_a_bare_mask_are_greedy():
+    # a subgroup built without generators takes, one at a time, the least
+    # element outside the subgroup the earlier ones generate
+    for spec in ORACLE_SPECS:
+        g = evaluate(spec)
+        for h in all_subgroups(g):
+            gens = Subgroup(g, h.mask).generators()
+            span = 1
+            for i, x in enumerate(gens):
+                outside = h.mask & ~span
+                assert x == (outside & -outside).bit_length() - 1, (spec, h.mask, gens)
+                span = brute_generated_mask(g, gens[: i + 1])
+            assert span == h.mask, (spec, h.mask, gens)
+
+
 def test_generated_mask_matches_the_pairwise_closure():
     rng = random.Random(7)
     for spec in ("S4", "Q8 x C4", "C6 wr C2"):
