@@ -8,6 +8,7 @@ stored formula instead.  Both are read the same way, as group.table[a][b].
 
 from __future__ import annotations
 
+import sys
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -292,6 +293,13 @@ def dump_cayley(group: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _echo(line: str) -> str:
+    """The repr of a rejected input line for an error message, cut after
+    its first 60 characters and then marked with an ellipsis, so a huge
+    token cannot make the message huge."""
+    return repr(line) if len(line) <= 60 else f"{line[:60]!r}…"
+
+
 def load_cayley(text: str) -> list[list[int]]:
     """Parse the Cayley file format: order line then n table rows.
 
@@ -307,7 +315,7 @@ def load_cayley(text: str) -> list[list[int]]:
     try:
         n = int(items[0])
     except ValueError:
-        raise NotAGroup(f"cayley file order line is not an integer: {items[0]!r}")
+        raise NotAGroup(f"cayley file order line is not an integer: {_echo(items[0])}")
     if n < 1:
         raise NotAGroup(f"cayley file order must be positive, got {n}")
     if len(items) != n + 1:
@@ -317,7 +325,7 @@ def load_cayley(text: str) -> list[list[int]]:
         try:
             row = list(map(int, line.split()))
         except ValueError:
-            raise NotAGroup(f"cayley file row is not integers: {line!r}")
+            raise NotAGroup(f"cayley file row is not integers: {_echo(line)}")
         if len(row) != n:
             raise NotAGroup(f"cayley file row has {len(row)} entries, expected {n}")
         table.append(row)
@@ -476,7 +484,8 @@ def named_group(family: str, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> G
 # str() prints ints of up to 4300 digits by default.  No group of a larger
 # order can be built, so such an order exceeds every cap and is reported
 # without its digits.
-_PRINTABLE = 10**4300
+_DIGITS = 4300
+_PRINTABLE = 10**_DIGITS
 
 
 def _order_product(factors: Iterable[int]) -> int | None:
@@ -492,11 +501,18 @@ def _order_product(factors: Iterable[int]) -> int | None:
 
 def _cap(order: int | None, max_order: int, what: str, verb: str = "has order") -> None:
     """Raise OrderCapExceeded if `what` has more than max_order elements;
-    an order of None or past _PRINTABLE always does."""
-    if order is None or order >= _PRINTABLE:
-        raise OrderCapExceeded(f"{what} {verb} (more than 4300 digits) > cap {max_order}")
-    if order > max_order:
-        raise OrderCapExceeded(f"{what} {verb} {order} > cap {max_order}")
+    an order of None or past _PRINTABLE always does.  The message prints
+    the order only if str() can under the interpreter's current digit
+    limit (at most 4300 digits), and otherwise says it has more digits."""
+    if order is not None and order < _PRINTABLE and order <= max_order:
+        return
+    # interpreters before 3.10.7 have no limit, and 0 means none too
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = min(limit, _DIGITS) if limit else _DIGITS
+    shown = order
+    if order is None or order >= 10**digits:
+        shown = f"(more than {digits} digits)"
+    raise OrderCapExceeded(f"{what} {verb} {shown} > cap {max_order}")
 
 
 def _cyclic(n: int, max_order: int) -> Group:

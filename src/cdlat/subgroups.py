@@ -340,17 +340,64 @@ def replay_subgroups(
 
 
 def element_centralizer(g: Group, s: int) -> int:
-    """Bitmask of C_G(s), formed once per element and kept on the group."""
+    """Bitmask of C_G(s), formed once per element and kept on the group.
+
+    C_G(s) is the stabilizer of s under conjugation, so no call scans G
+    (orbit-stabilizer; Seress, *Permutation Group Algorithms*, 4.1).  The
+    first call for a conjugacy class walks it from s and closes the
+    Schreier generators of C_G(s), and the group keeps (s, t_y) with
+    s^(t_y) = y for every member y.  A later call for y conjugates:
+    C_G(y) = t_y^-1 * C_G(s) * t_y, |C_G(s)| conjugations."""
     cache = g._cache.setdefault("element_centralizers", {})
     mask = cache.get(s)
     if mask is None:
-        table = g.table
-        row_s = table[s]
-        mask = 0
-        for x in range(g.order):
-            if table[x][s] == row_s[x]:
-                mask |= 1 << x
+        transversal = g._cache.setdefault("class_transversal", {})
+        if s in transversal:
+            table, bit = g.table, _shift_table(g)
+            rep, t = transversal[s]
+            row_ti = table[g._inv[t]]
+            mask = 0
+            for c in bits_of(cache[rep]):
+                mask |= bit[table[row_ti[c]][t]]
+        else:
+            mask = _class_walk(g, s, transversal)
         cache[s] = mask
+    return mask
+
+
+def _class_walk(g: Group, s: int, transversal: dict[int, tuple[int, int]]) -> int:
+    """Bitmask of C_G(s) from the class of s, which the walk records in
+    `transversal`.  The class is the orbit of s under y -> a^-1*y*a for
+    the generators a of g; an edge from y to a member z = y^a met before
+    gives the Schreier generator t_y*a*t_z^-1, and these generate the
+    stabilizer C_G(s).  Raises AssertionError unless
+    |C_G(s)| * |class| = |G|."""
+    table, inv = g.table, g._inv
+    steps = [(a, table[inv[a]]) for a in full_subgroup(g).generators()]
+    trans = {s: 0}
+    orbit = [s]
+    schreier = []
+    for y in orbit:  # which grows as the class is found
+        row_t = table[trans[y]]
+        for a, row_ai in steps:
+            z = table[row_ai[y]][a]
+            ta = row_t[a]
+            tz = trans.get(z)
+            if tz is None:
+                trans[z] = ta
+                orbit.append(z)
+            else:
+                schreier.append(table[ta][inv[tz]])
+    if len(orbit) == 1:
+        mask = (1 << g.order) - 1
+    else:
+        mask = _grow(g, 1, [], schreier).mask
+    if mask.bit_count() * len(orbit) != g.order:
+        raise AssertionError(
+            f"|C_G({s})| * |class| = {mask.bit_count()} * {len(orbit)} != |{g.name}|"
+        )
+    for y, t in trans.items():
+        transversal[y] = (s, t)
     return mask
 
 

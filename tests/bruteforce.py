@@ -66,6 +66,31 @@ def brute_centralizer_mask(g: Group, hmask: int) -> int:
     return mask
 
 
+def brute_element_centralizer_mask(g: Group, s: int) -> int:
+    """C_G(s) by scanning every x for x*s == s*x, two products each."""
+    table = g.table
+    row_s = table[s]
+    mask = 0
+    for x in range(g.order):
+        if table[x][s] == row_s[x]:
+            mask |= 1 << x
+    return mask
+
+
+def brute_class_representatives(g: Group) -> list[int]:
+    """The least element of each conjugacy class, each class formed as
+    {k^-1*x*k} over every k in g."""
+    seen = 0
+    reps = []
+    for x in range(g.order):
+        if seen >> x & 1:
+            continue
+        reps.append(x)
+        for k in range(g.order):
+            seen |= 1 << g.mul(g.mul(g.inv(k), x), k)
+    return reps
+
+
 def brute_center_mask(g: Group) -> int:
     return brute_centralizer_mask(g, (1 << g.order) - 1)
 

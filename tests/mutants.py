@@ -113,6 +113,21 @@ MUTANTS = (
         "_grow(self.ambient, 1, [], self.elements()[::-1])",
         ("tests/test_subgroups.py",),
     ),
+    # C_G(s) needs every Schreier generator, and C_G(s^t) = t^-1*C_G(s)*t
+    Mutant(
+        "schreier-drop-generator",
+        _SUBGROUPS,
+        "_grow(g, 1, [], schreier)",
+        "_grow(g, 1, [], schreier[1:])",
+        ("tests/test_subgroups.py",),
+    ),
+    Mutant(
+        "class-conjugate-inverse",
+        _SUBGROUPS,
+        "            rep, t = transversal[s]\n",
+        "            rep, t = transversal[s]\n            t = g._inv[t]\n",
+        ("tests/test_subgroups.py",),
+    ),
     # HK is the union of the right cosets H*b, not of the left cosets b*H
     Mutant(
         "product-set-left-cosets",

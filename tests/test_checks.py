@@ -4,6 +4,7 @@ import pytest
 
 from cdlat import check_ids, default_pairs, run_check, subgroups
 from cdlat.checks import CHECKS, CHECKS_BY_ID, CheckDef
+from cdlat.specparse import evaluate
 
 from bruteforce import fresh_group
 
@@ -65,6 +66,17 @@ def test_each_check_passes_on_its_example(check_id, spec):
     assert v.status == "passed", (v.witness, v.stats)
     assert v.witness is None
     assert v.elapsed >= 0.0
+
+
+@pytest.mark.parametrize("spec", ["D8 wr C3", "Q8 wr C3", "C3 wr C5"])
+@pytest.mark.parametrize("check_id", ["wreath-base-centralizer", "wreath-center"])
+def test_wreath_centralizer_checks_pass_past_the_enumeration_limit(check_id, spec):
+    # these checks read element centralizers alone, so they run on wreaths
+    # too large to enumerate, which the default corpus leaves out
+    assert (check_id, spec) not in default_pairs()
+    v = run_check(check_id, spec)
+    assert v.status == "passed", (v.witness, v.stats)
+    assert evaluate(spec).order > 512
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -180,6 +181,27 @@ def test_named_order_cap_prints_orders_of_up_to_4300_digits():
         with pytest.raises(OrderCapExceeded) as err:
             named_group(family, n)
         assert str(err.value) == f"{name} has order (more than 4300 digits) > cap 20000"
+
+
+def test_named_order_cap_under_a_lowered_digit_limit():
+    # a process may lower the digit limit of str(); an order past it is
+    # reported by that limit instead.  310! has 640 digits, 311! has 642
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(OrderCapExceeded) as err:
+            named_group("S", 310)
+        assert str(err.value) == f"S310 has order {math.factorial(310)} > cap 20000"
+        for family, n, name in (
+            ("S", 311, "S311"),
+            ("S", 1000, "S1000"),
+            ("UT", 70000, "UT(70000,2)"),
+        ):
+            with pytest.raises(OrderCapExceeded) as err:
+                named_group(family, n)
+            assert str(err.value) == f"{name} has order (more than 640 digits) > cap 20000"
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 @pytest.mark.parametrize(

@@ -376,6 +376,27 @@ def test_cli_cayley_file_that_is_not_utf8_is_invalid_input(
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ("9" * 5000 + "\n", "cayley file order line is not an integer: '999"),
+        ("2\n0 1\n1 " + "9" * 5000 + "\n", "cayley file row is not integers: '1 999"),
+    ],
+    ids=["order-line", "row"],
+)
+def test_cli_cayley_error_echoes_a_bounded_part_of_the_line(text, prefix, tmp_path, capsys):
+    # a 5000-digit token is echoed by its first 60 characters only
+    path = tmp_path / "big.cay"
+    path.write_text(text)
+    out = tmp_path / "e.json"
+    assert main(["compute", f"cayley:{path}", "--no-cache", "--json", str(out)]) == 4
+    message = json.loads(out.read_text())["error"]["message"]
+    assert message.startswith(prefix) and message.endswith("9'…")
+    assert len(message) < 120
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [["compute", "--no-cache"], ["verify", "all"]])
 def test_cli_spec_nesting_is_bounded(command, tmp_path, capsys):
     # deep enough to exhaust the recursion of the parser, or of the

@@ -38,8 +38,10 @@ from cdlat.subgroups import bits_of, lattice_join, product_set_mask, replay_subg
 from bruteforce import (
     brute_center_mask,
     brute_centralizer_mask,
+    brute_class_representatives,
     brute_closure_mask,
     brute_discovery,
+    brute_element_centralizer_mask,
     brute_generated_mask,
     brute_lexmin_generators,
     brute_normal_closure_mask,
@@ -176,6 +178,62 @@ def test_centralizer_matches_brute_force():
             assert cent.mask == brute_centralizer_mask(g, h.mask), (spec, h.mask)
             # a centralizer carries no recorded generators of its own
             assert centralizer(g, cent).mask == brute_centralizer_mask(g, cent.mask)
+
+
+def assert_element_centralizers_match_the_scan(spec, elements):
+    """element_centralizer equals the scan on each of `elements`, asked in
+    ascending and then in descending order of a fresh group each time.
+    The first member of a class asked for walks the class and the others
+    conjugate its centralizer, so the two orders start the walk from
+    different members of every class met twice."""
+    g = fresh_group(spec)
+    want = {s: brute_element_centralizer_mask(g, s) for s in elements}
+    for order in (sorted(elements), sorted(elements, reverse=True)):
+        g = fresh_group(spec)
+        for s in order:
+            assert subgroups.element_centralizer(g, s) == want[s], (spec, s)
+        if not g.is_abelian():
+            # some class was met twice, so some answers came from conjugation
+            transversal = g._cache["class_transversal"]
+            assert len({transversal[s][0] for s in elements}) < len(elements), spec
+
+
+def test_element_centralizers_match_the_scan():
+    for spec in ORACLE_SPECS:
+        assert_element_centralizers_match_the_scan(spec, range(evaluate(spec).order))
+
+
+@pytest.mark.parametrize("spec", ["S6", "S4 wr C2"])
+def test_element_centralizers_past_the_enumeration_limit_match_the_scan(spec):
+    # tabulated groups too large to enumerate subgroups of
+    g = evaluate(spec)
+    assert g.order > 512 and g.rows() is not None
+    assert_element_centralizers_match_the_scan(spec, range(g.order))
+
+
+def test_element_centralizers_of_a_formula_backed_group_match_the_scan():
+    g = evaluate("corpus:ut52")
+    assert g.rows() is None
+    assert_element_centralizers_match_the_scan("corpus:ut52", range(0, g.order, 32))
+
+
+def test_class_equation_on_s4_wr_c2():
+    # |G| is the sum of the class sizes |G : C_G(x)| over class representatives
+    g = fresh_group("S4 wr C2")
+    sizes = [
+        g.order // subgroups.element_centralizer(g, x).bit_count()
+        for x in brute_class_representatives(g)
+    ]
+    assert sum(sizes) == g.order
+    assert sizes.count(1) == center(g).order
+
+
+def test_element_centralizer_checks_orbit_stabilizer(monkeypatch):
+    # a closure that misses part of C_G(s) breaks |C_G(s)| * |class| = |G|
+    g = fresh_group("S4")
+    monkeypatch.setattr(subgroups, "_grow", lambda g, mask, gens, xs: trivial_subgroup(g))
+    with pytest.raises(AssertionError, match=r"\|C_G\(1\)\| \* \|class\|"):
+        subgroups.element_centralizer(g, 1)
 
 
 def test_member_normality_matches_brute_force():
