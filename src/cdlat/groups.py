@@ -238,17 +238,32 @@ def from_cayley(table: Sequence[Sequence[int]], *, name: str | None = None) -> G
     """Build a validated group from a square multiplication table.
 
     The table's identity may sit at any index; elements are relabeled by
-    the 0<->identity swap so index 0 is the identity.  Raises NotAGroup
-    with the offending row/triple on any axiom failure.
+    the transposition of 0 and the identity so index 0 is the identity.
+    The caller's table is never mutated.  Raises NotAGroup on the first
+    fault in this order: each row's length and entries, row by row; the
+    identity; rows that are not permutations; columns; check_axioms.  The
+    fault and its message are the ones an entry-by-entry scan in that
+    order finds.
+
+    Each row is checked in one pass, as ints forming a permutation; only
+    a row that fails is scanned entry by entry.  Columns are scanned only
+    when check_axioms fails: a table that passes every check is a group,
+    and a group's columns are permutations.
     """
     n = len(table)
     if n == 0:
         raise NotAGroup("empty table")
     rows = [list(r) for r in table]
+    values = set(range(n))
+    not_permutations = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-        if all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n:
+        ints = all(map(isinstance, row, repeat(int)))
+        if ints and set(row) == values:
+            continue
+        if ints and 0 <= min(row) and max(row) < n:
+            not_permutations.append(i)  # reported after the identity search
             continue
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
@@ -261,24 +276,27 @@ def from_cayley(table: Sequence[Sequence[int]], *, name: str | None = None) -> G
             break
     if ident is None:
         raise NotAGroup("table has no identity element")
+    if not_permutations:
+        # the index that row has once relabeled: 0 and ident trade places
+        swap = {0: ident, ident: 0}
+        i = min(swap.get(j, j) for j in not_permutations)
+        raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
     if ident != 0:
-        # the 0 <-> identity swap is its own inverse, so relabeled row i is
-        # old row swap[i], read at swap[j] and mapped through swap
-        swap = full[:]
-        swap[0], swap[ident] = ident, 0
-        get_swapped = itemgetter(*swap)
-        rows = [
-            list(map(swap.__getitem__, get_swapped(rows[swap[i]]))) for i in full
-        ]
-    # entries are ints in 0..n-1, so n distinct ones are a permutation
-    for i, row in enumerate(rows):
-        if len(set(row)) != n:
-            raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-    for j, column in enumerate(zip(*rows)):
-        if len(set(column)) != n:
-            raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
+        # relabeled row i is old row swap[i], read at swap[j] and mapped
+        # through swap, for the transposition swap = (0 ident)
+        rows[0], rows[ident] = rows[ident], rows[0]
+        for row in rows:
+            row[0], row[ident] = row[ident], row[0]
+            a, b = row.index(0), row.index(ident)
+            row[a], row[b] = ident, 0
     group = Group(n, name=name or f"cayley{n}", rows=rows)
-    check_axioms(group)
+    try:
+        check_axioms(group)
+    except NotAGroup:
+        for j, column in enumerate(zip(*rows)):
+            if len(set(column)) != n:
+                raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}") from None
+        raise
     return group
 
 
@@ -320,12 +338,21 @@ def load_cayley(text: str) -> list[list[int]]:
         raise NotAGroup(f"cayley file order must be positive, got {n}")
     if len(items) != n + 1:
         raise NotAGroup(f"cayley file has {len(items) - 1} rows, expected {n}")
+    # canonical tokens of 0..n-1 are looked up; a line holding any other
+    # token is parsed by int(), which keeps its rules and its errors
+    lookup = {str(v): v for v in range(n)}.__getitem__
     table = []
     for line in items[1:]:
+        tokens = line.split()
         try:
-            row = list(map(int, line.split()))
-        except ValueError:
-            raise NotAGroup(f"cayley file row is not integers: {_echo(line)}")
+            row = list(map(lookup, tokens))
+        except KeyError:
+            row = None
+        if row is None:
+            try:
+                row = list(map(int, tokens))
+            except ValueError:
+                raise NotAGroup(f"cayley file row is not integers: {_echo(line)}")
         if len(row) != n:
             raise NotAGroup(f"cayley file row has {len(row)} entries, expected {n}")
         table.append(row)

@@ -8,10 +8,16 @@ extensions and caches, so the two paths can disagree when one is wrong.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import itemgetter
 
-from cdlat import Group
-from cdlat.groups import from_cayley
+from cdlat import Group, NotAGroup
+from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
+from cdlat.groups import check_axioms, from_cayley
+
+# every group the oracles are compared on: the universal corpus, the
+# order-32 fixture and the wreath products small enough to enumerate
+ORACLE_SPECS = universal_corpus_specs() + ("corpus:g32",) + ENUMERABLE_WREATH_SPECS
 
 
 def divisors(n: int) -> list[int]:
@@ -249,6 +255,48 @@ def relabelled(g: Group, seed: int) -> tuple[Group, list[int]]:
     old = sorted(range(n), key=label.__getitem__)
     rows = [[label[g.mul(old[a], old[b])] for b in range(n)] for a in range(n)]
     return from_cayley(rows), label
+
+
+def brute_from_cayley(table, *, name=None) -> Group:
+    """from_cayley as three passes over every entry: entries, then a
+    relabel of every entry through the 0<->identity swap, then every row
+    and every column checked as a permutation before check_axioms."""
+    n = len(table)
+    if n == 0:
+        raise NotAGroup("empty table")
+    rows = [list(r) for r in table]
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
+        if all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n:
+            continue
+        for v in row:
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise NotAGroup(f"row {i} holds entry {v!r} outside 0..{n - 1}")
+    full = list(range(n))
+    ident = None
+    for e in range(n):
+        if rows[e] == full and all(rows[x][e] == x for x in full):
+            ident = e
+            break
+    if ident is None:
+        raise NotAGroup("table has no identity element")
+    if ident != 0:
+        # the 0 <-> identity swap is its own inverse, so relabeled row i is
+        # old row swap[i], read at swap[j] and mapped through swap
+        swap = full[:]
+        swap[0], swap[ident] = ident, 0
+        get_swapped = itemgetter(*swap)
+        rows = [list(map(swap.__getitem__, get_swapped(rows[swap[i]]))) for i in full]
+    for i, row in enumerate(rows):
+        if len(set(row)) != n:
+            raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
+    for j, column in enumerate(zip(*rows)):
+        if len(set(column)) != n:
+            raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
+    group = Group(n, name=name or f"cayley{n}", rows=rows)
+    check_axioms(group)
+    return group
 
 
 def brute_permutation_table(g: Group) -> tuple[list[list[int]], list[int]]:

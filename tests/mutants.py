@@ -206,6 +206,31 @@ MUTANTS = (
         "    for s in generating_set(group)[1:]:\n        row_s = row_of(table[s])\n",
         ("tests/test_axioms.py", "tests/test_groups.py"),
     ),
+    # from_cayley scans columns when a later check fails, relabels values
+    # as well as positions, and reports a row by its relabeled index
+    Mutant(
+        "cayley-columns-unchecked",
+        _GROUPS,
+        "        for j, column in enumerate(zip(*rows)):\n"
+        "            if len(set(column)) != n:\n"
+        '                raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}") from None\n',
+        "",
+        ("tests/test_groups.py",),
+    ),
+    Mutant(
+        "cayley-relabel-keeps-values",
+        _GROUPS,
+        "            a, b = row.index(0), row.index(ident)\n            row[a], row[b] = ident, 0\n",
+        "",
+        ("tests/test_groups.py",),
+    ),
+    Mutant(
+        "cayley-row-error-unswapped",
+        _GROUPS,
+        "min(swap.get(j, j) for j in not_permutations)",
+        "min(not_permutations)",
+        ("tests/test_groups.py",),
+    ),
     # input checks: cycle points, spec integers, the cache write
     Mutant(
         "cycle-point-below-one",

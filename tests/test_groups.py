@@ -14,15 +14,18 @@ from cdlat import (
     check_axioms,
     closure,
     dump_cayley,
+    evaluate,
     from_cayley,
+    from_cayley_file,
     from_permutations,
     load_cayley,
     named_group,
     ut_entry_bit,
 )
+from cdlat.cli import main
 from cdlat.groups import TABLE_LIMIT
 
-from bruteforce import brute_permutation_table
+from bruteforce import ORACLE_SPECS, brute_from_cayley, brute_permutation_table
 
 S4_GENS = PermutationGenSet.from_cycles([[(1, 2)], [(1, 2, 3, 4)]])
 S3_GENS = PermutationGenSet.from_cycles([[(1, 2)], [(1, 2, 3)]])
@@ -469,3 +472,120 @@ def test_load_cayley_rejects_a_malformed_file(text, message):
     with pytest.raises(NotAGroup) as err:
         load_cayley(text)
     assert str(err.value) == message
+
+
+def relabelled_rows(g, seed, ident):
+    """g's table under a seeded shuffle of its labels that sends the
+    identity to index `ident`."""
+    n = g.order
+    label = [ident] + random.Random(seed).sample([x for x in range(n) if x != ident], n - 1)
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[label[a]][label[b]] = label[g.mul(a, b)]
+    return rows
+
+
+def outcome(build, table):
+    """What `build` makes of `table`: the group's rows, inverses and
+    known_gens, or the message of the NotAGroup it raises."""
+    try:
+        g = build(table)
+    except NotAGroup as exc:
+        return str(exc)
+    return g.rows(), [g.inv(x) for x in range(g.order)], g.known_gens
+
+
+@pytest.mark.parametrize("where", ["index 1", "middle", "last"])
+def test_from_cayley_matches_the_oracle_on_relabelled_groups(where):
+    for spec in ORACLE_SPECS:
+        n = evaluate(spec).order
+        ident = min({"index 1": 1, "middle": n // 2, "last": n - 1}[where], n - 1)
+        for seed in (1, 2):
+            rows = relabelled_rows(evaluate(spec), seed, ident)
+            want = outcome(brute_from_cayley, rows)
+            assert not isinstance(want, str), (spec, seed, want)
+            assert outcome(from_cayley, rows) == want, (spec, seed)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "short row",
+        "non-int",
+        "negative",
+        "too large",
+        "first bad entry",
+        "no identity",
+        "row",
+        "column",
+        "associativity",
+    ],
+)
+def test_from_cayley_rejects_bad_tables_as_the_oracle_does(case):
+    for shift in range(6):
+        table = bad_table(case, shift)
+        want = outcome(brute_from_cayley, table)
+        assert isinstance(want, str), (shift, want)
+        assert outcome(from_cayley, table) == want, shift
+
+
+@pytest.mark.parametrize("base", [S3_ROWS, LOOP5_ROWS], ids=["S3", "loop5"])
+def test_from_cayley_rejects_every_single_entry_change_as_the_oracle_does(base):
+    # under every shift, so the identity sits at each index in turn
+    n = len(base)
+    for shift in range(n):
+        for a in range(n):
+            for b in range(n):
+                for v in range(n):
+                    table = shifted(base, shift)
+                    if table[a][b] == v:
+                        continue
+                    table[a][b] = v
+                    want = outcome(brute_from_cayley, table)
+                    assert isinstance(want, str), (shift, a, b, v)
+                    assert outcome(from_cayley, table) == want, (shift, a, b, v)
+
+
+def test_from_cayley_leaves_the_callers_table_unchanged():
+    table = shifted(S3_ROWS, 2)  # the identity sits at index 2
+    rows = list(table)
+    before = [list(r) for r in table]
+    from_cayley(table)
+    assert table == before and all(r is s for r, s in zip(table, rows))
+    # a tuple-of-tuples table builds the same group
+    frozen = tuple(map(tuple, table))
+    assert outcome(from_cayley, frozen) == outcome(brute_from_cayley, table)
+
+
+@pytest.mark.parametrize("token", ["007", "+3", "-0", "1_0", "\u0663"])
+def test_load_cayley_parses_other_tokens_as_int_does(token):
+    lines = [" ".join(map(str, r)) for r in S3_ROWS]
+    tokens = lines[4].split()
+    tokens[2] = token
+    lines[4] = " ".join(tokens)
+    table = load_cayley("6\n" + "\n".join(lines) + "\n")
+    assert table == [list(map(int, line.split())) for line in lines]
+
+
+def test_load_cayley_chains_the_int_error():
+    lines = [" ".join(map(str, r)) for r in S3_ROWS]
+    lines[4] = lines[4].replace("2", "2x")
+    with pytest.raises(NotAGroup) as err:
+        load_cayley("6\n" + "\n".join(lines) + "\n")
+    assert isinstance(err.value.__context__, ValueError)
+    assert err.value.__context__.__context__ is None
+
+
+def test_cayley_file_entry_out_of_range(tmp_path, capsys):
+    # "6" is written as the order-6 table would write an element, but it
+    # names none
+    rows = [list(map(str, r)) for r in S3_ROWS]
+    rows[4][2] = "6"
+    path = tmp_path / "g.cay"
+    path.write_text(cayley_text(rows))
+    with pytest.raises(NotAGroup) as err:
+        from_cayley_file(path)
+    assert str(err.value) == "row 4 holds entry 6 outside 0..5"
+    assert main(["compute", f"cayley:{path}", "--no-cache"]) == 4
+    assert capsys.readouterr().err == "error: row 4 holds entry 6 outside 0..5\n"

@@ -23,12 +23,7 @@ from cdlat import (
     subnormal_defect,
     trivial_subgroup,
 )
-from cdlat.corpus import (
-    ENUMERABLE_WREATH_SPECS,
-    G32_GENS,
-    corpus_group,
-    universal_corpus_specs,
-)
+from cdlat.corpus import G32_GENS, corpus_group, universal_corpus_specs
 from cdlat.groups import TABLE_LIMIT
 from cdlat.report import build_report
 from cdlat.specparse import evaluate
@@ -36,6 +31,7 @@ from cdlat import subgroups
 from cdlat.subgroups import bits_of, lattice_join, product_set_mask, replay_subgroups
 
 from bruteforce import (
+    ORACLE_SPECS,
     brute_center_mask,
     brute_centralizer_mask,
     brute_class_representatives,
@@ -165,9 +161,6 @@ def test_subgroup_constructor_guards():
         Subgroup(g, 0b110)  # identity bit missing
     with pytest.raises(ValueError):
         Subgroup(g, 0b11111)  # order 5 does not divide 24 (Lagrange)
-
-
-ORACLE_SPECS = universal_corpus_specs() + ("corpus:g32",) + ENUMERABLE_WREATH_SPECS
 
 
 def test_centralizer_matches_brute_force():
