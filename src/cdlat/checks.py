@@ -36,12 +36,12 @@ from .subgroups import (
     DEFAULT_ENUM_LIMIT,
     Subgroup,
     all_subgroups,
+    bits_of,
     center,
     centralizer,
     closure,
     full_subgroup,
-    join_subgroups,
-    lattice_join,
+    lattice_index,
     normal_closure,
     normalizer,
     product_set_mask,
@@ -135,20 +135,23 @@ def _check_cd_sublattice(g: Group):
         return _skipped("group too large to enumerate")
     result = cd_lattice(g)
     subs = _subgroups(g)
+    lattice = lattice_index(subs)
     members = [m.subgroup for m in result.members]
     member_masks = {h.mask for h in members}
+    at = [lattice.index[h.mask] for h in members]
     pairs = 0
     for i, h in enumerate(members):
-        cent = centralizer(g, h)
+        c = lattice.cent[at[i]]
+        cent = subs[c]
         if cent.mask not in member_masks:
             return _failed("centralizer of a member is not a member", [h, cent])
-        if centralizer(g, cent).mask != h.mask:
+        if lattice.cent[c] != at[i]:
             return _failed("double centralizer differs from the member", [h, cent])
-        for k in members[i + 1 :]:
+        for j, k in enumerate(members[i + 1 :], i + 1):
             pairs += 1
             if h.mask & k.mask not in member_masks:
                 return _failed("member intersection escapes the lattice", [h, k])
-            join = join_subgroups(h, k)
+            join = subs[lattice.join(at[i], at[j])]
             if join.mask not in member_masks:
                 return _failed("member join escapes the lattice", [h, k])
             inter_order = (h.mask & k.mask).bit_count()
@@ -179,15 +182,15 @@ def _check_useful_prop(g: Group):
         return _skipped("group too large to enumerate")
     result = cd_lattice(g)
     subs = _subgroups(g)
-    full_mask = (1 << g.order) - 1
+    lattice = lattice_index(subs)
     pairs = 0
     for m in result.members:
         u = m.subgroup
-        # S contains the join U C_G(U) exactly when it contains both
-        v = u.mask | centralizer(g, u).mask
-        for s in subs:
-            if s.mask == full_mask or v & ~s.mask:
-                continue
+        i = lattice.index[u.mask]
+        # S contains U C_G(U) exactly when it lies above the join of U and
+        # C_G(U); the last subgroup above it is G itself
+        for t in bits_of(lattice.above[lattice.join(i, lattice.cent[i])])[:-1]:
+            s = subs[t]
             pairs += 1
             sub_cd = cd_of_subgroup(g, s)
             if u.mask not in sub_cd.member_masks:
@@ -512,18 +515,18 @@ def _check_measure_lemmas(g: Group):
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
     subs = _subgroups(g)
+    lattice = lattice_index(subs)
     # per subgroup index: mask, order, index of C(H) and m(H)
     masks = [h.mask for h in subs]
     orders = [h.order for h in subs]
-    index = {m: i for i, m in enumerate(masks)}
-    cent = [index[centralizer(g, h).mask] for h in subs]
+    index, cent = lattice.index, lattice.cent
     meas = [o * orders[c] for o, c in zip(orders, cent)]
     for i, c in enumerate(cent):
         if meas[i] > meas[c]:
             return _failed("m(H) exceeds m(C(H))", [subs[i], subs[c]])
         if meas[i] == meas[c] and cent[c] != i:
             return _failed("equal measures but H != C(C(H))", [subs[i], subs[c]])
-    join_of = lattice_join(subs)
+    join_of = lattice.join
     n = len(subs)
     for i in range(n):
         h_mask, h_order, h_meas = masks[i], orders[i], meas[i]
@@ -535,10 +538,13 @@ def _check_measure_lemmas(g: Group):
             rhs = meas[join] * meas[inter]
             if lhs > rhs:
                 return _failed("submultiplicativity fails", [subs[i], subs[j]])
-            hk_is_join = h_order * orders[j] // orders[inter] == orders[join]
-            ck = cent[j]
-            cc_product_order = ch_order * orders[ck] // (ch_mask & masks[ck]).bit_count()
-            conds = hk_is_join and cc_product_order == orders[cent[inter]]
+            # equality holds exactly when HK is the join and C(H)C(K) is
+            # C(H meet K); |C(H)C(K)| is formed only in the first case
+            conds = False
+            if h_order * orders[j] // orders[inter] == orders[join]:
+                ck = cent[j]
+                cc_order = ch_order * orders[ck] // (ch_mask & masks[ck]).bit_count()
+                conds = cc_order == orders[cent[inter]]
             if (lhs == rhs) != conds:
                 return _failed("equality condition mismatch", [subs[i], subs[j]])
     return _passed(subgroups_enumerated=n, pairs_checked=n * (n + 1) // 2)

@@ -196,7 +196,7 @@ def generating_set(group: Group) -> list[int]:
     return gens
 
 
-def check_axioms(group: Group) -> None:
+def check_axioms(group: Group, greedy_gens: Sequence[int] | None = None) -> None:
     """Verify that index 0 is an identity, that inverses are two-sided and
     that the product is associative.  Raises NotAGroup on the first
     violation.
@@ -204,6 +204,10 @@ def check_axioms(group: Group) -> None:
     Associativity is proved exactly by Light's test: the elements x with
     (a*x)*b == a*(x*b) for all a, b are closed under products, so it is
     enough to test the generators from generating_set, at O(n**2 * |gens|).
+    A caller that holds generating_set(group) already passes it as
+    `greedy_gens`.  Generators a constructor names are no substitute: on a
+    table that may not be associative, only the greedy walk shows that a
+    set generates it.
     """
     n = group.order
     table = group.table
@@ -217,7 +221,9 @@ def check_axioms(group: Group) -> None:
     # whole rows at a time: (a*s)*b for every b against a*(s*b) for every b;
     # tabulated rows are tuples already, formula rows are read out whole
     row_of = tuple if group.rows() is not None else itemgetter(*elements)
-    for s in generating_set(group):
+    if greedy_gens is None:
+        greedy_gens = generating_set(group)
+    for s in greedy_gens:
         row_s = row_of(table[s])
         gather_s = itemgetter(*row_s)
         for a in elements:
@@ -289,9 +295,10 @@ def from_cayley(table: Sequence[Sequence[int]], *, name: str | None = None) -> G
             row[0], row[ident] = row[ident], row[0]
             a, b = row.index(0), row.index(ident)
             row[a], row[b] = ident, 0
+    # no known_gens, so the group's generators are generating_set(group)
     group = Group(n, name=name or f"cayley{n}", rows=rows)
     try:
-        check_axioms(group)
+        check_axioms(group, group.known_gens)
     except NotAGroup:
         for j, column in enumerate(zip(*rows)):
             if len(set(column)) != n:
@@ -318,6 +325,13 @@ def _echo(line: str) -> str:
     return repr(line) if len(line) <= 60 else f"{line[:60]!r}…"
 
 
+def _echo_int(n: int) -> str:
+    """str(n) for an error message, cut as _echo cuts a line: a parsed
+    order may have thousands of digits."""
+    text = str(n)
+    return text if len(text) <= 60 else f"{text[:60]}…"
+
+
 def load_cayley(text: str) -> list[list[int]]:
     """Parse the Cayley file format: order line then n table rows.
 
@@ -335,9 +349,9 @@ def load_cayley(text: str) -> list[list[int]]:
     except ValueError:
         raise NotAGroup(f"cayley file order line is not an integer: {_echo(items[0])}")
     if n < 1:
-        raise NotAGroup(f"cayley file order must be positive, got {n}")
+        raise NotAGroup(f"cayley file order must be positive, got {_echo_int(n)}")
     if len(items) != n + 1:
-        raise NotAGroup(f"cayley file has {len(items) - 1} rows, expected {n}")
+        raise NotAGroup(f"cayley file has {len(items) - 1} rows, expected {_echo_int(n)}")
     # canonical tokens of 0..n-1 are looked up; a line holding any other
     # token is parsed by int(), which keeps its rules and its errors
     lookup = {str(v): v for v in range(n)}.__getitem__

@@ -183,25 +183,63 @@ def join_subgroups(h: Subgroup, k: Subgroup) -> Subgroup:
     return _grow(h.ambient, h.mask, list(h.generators()), k.generators())
 
 
-def lattice_join(subs: Sequence[Subgroup]) -> Callable[[int, int], int]:
-    """The index in subs of the join of subs[i] and subs[j], for every
-    subgroup of a group sorted by order, as all_subgroups returns them.
-    above[i] is the bitset of the subgroups that contain subs[i], so the
-    join is the first subgroup in both bitsets: one containment test per
-    pair up front, then one AND per join."""
-    masks = [h.mask for h in subs]
-    above = [0] * len(masks)
-    for j, m in enumerate(masks):
-        outside = ~m
-        for i in range(j + 1):
-            if not masks[i] & outside:
-                above[i] |= 1 << j
+class LatticeIndex:
+    """The subgroup lattice of a group over positions in `subs`, every
+    subgroup of the group sorted by order, as all_subgroups returns them.
 
-    def join(i: int, j: int) -> int:
-        both = above[i] & above[j]
+    `above[i]` is the bitset of the j with subs[i] <= subs[j], `index`
+    maps a mask to its position and `cent[i]` is the position of
+    C_G(subs[i]).  `holding[x]`, the bitset of the subgroups that contain
+    the element x, takes one set-bit walk per subgroup; a subgroup lies
+    under exactly the subgroups that hold all its generators, so above[i]
+    is the AND of holding[x] over the generators x of subs[i]: O(sum |H|)
+    steps in all, where a containment test per pair takes n^2/2."""
+
+    __slots__ = ("subs", "above", "index", "cent")
+
+    def __init__(self, g: Group, subs: Sequence[Subgroup]):
+        self.subs = subs
+        holding = [0] * g.order
+        for j, h in enumerate(subs):
+            bit = 1 << j
+            for x in h.elements():
+                holding[x] |= bit
+        every = (1 << len(subs)) - 1
+        above = []
+        for h in subs:
+            mask = every
+            for x in h.generators():
+                mask &= holding[x]
+            above.append(mask)
+        self.above = above
+        self.index = index = {h.mask: i for i, h in enumerate(subs)}
+        self.cent = [index[centralizer(g, h).mask] for h in subs]
+
+    def join(self, i: int, j: int) -> int:
+        """Position of the join of subs[i] and subs[j]: the subgroup of
+        least order above both, so the lowest set bit of both bitsets."""
+        both = self.above[i] & self.above[j]
         return (both & -both).bit_length() - 1
 
-    return join
+
+def lattice_index(subs: Sequence[Subgroup]) -> LatticeIndex:
+    """The LatticeIndex of subs.  The index of the tuple all_subgroups(g)
+    is built on first use and kept on g; the cache holds that tuple and
+    is read only for it, so any other sequence gets an index of its own."""
+    g = subs[0].ambient
+    cached = g._cache.get("lattice")
+    if cached is not None and cached.subs is subs:
+        return cached
+    built = LatticeIndex(g, subs)
+    if subs is g._cache.get("subgroups"):
+        g._cache["lattice"] = built
+    return built
+
+
+def lattice_join(subs: Sequence[Subgroup]) -> Callable[[int, int], int]:
+    """The index in subs of the join of subs[i] and subs[j], for every
+    subgroup of a group sorted by order, as all_subgroups returns them."""
+    return lattice_index(subs).join
 
 
 def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:

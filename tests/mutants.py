@@ -144,6 +144,22 @@ MUTANTS = (
         "        return both.bit_length() - 1\n",
         ("tests/test_subgroups.py",),
     ),
+    # a subgroup lies under the subgroups that hold every one of its
+    # generators, and S >= U C_G(U) lies above the join of U and C_G(U)
+    Mutant(
+        "lattice-above-skip-generator",
+        _SUBGROUPS,
+        "            for x in h.generators():\n                mask &= holding[x]\n",
+        "            for x in h.generators()[1:]:\n                mask &= holding[x]\n",
+        ("tests/test_subgroups.py",),
+    ),
+    Mutant(
+        "useful-prop-member-above",
+        "src/cdlat/checks.py",
+        "bits_of(lattice.above[lattice.join(i, lattice.cent[i])])[:-1]",
+        "bits_of(lattice.above[i])[:-1]",
+        ("tests/test_checks.py",),
+    ),
     # the centralizers in S are all intersections of element centralizers
     Mutant(
         "centralizers-skip-last",
@@ -202,8 +218,8 @@ MUTANTS = (
     Mutant(
         "light-skip-generator",
         _GROUPS,
-        "    for s in generating_set(group):\n        row_s = row_of(table[s])\n",
-        "    for s in generating_set(group)[1:]:\n        row_s = row_of(table[s])\n",
+        "    for s in greedy_gens:\n        row_s = row_of(table[s])\n",
+        "    for s in greedy_gens[1:]:\n        row_s = row_of(table[s])\n",
         ("tests/test_axioms.py", "tests/test_groups.py"),
     ),
     # from_cayley scans columns when a later check fails, relabels values

@@ -199,17 +199,17 @@ def test_cd_sublattice_never_searches_inside_a_proper_subgroup(monkeypatch):
 
 
 def test_measure_lemmas_fails_on_a_wrong_centralizer(monkeypatch):
-    # C(G) of D8 reported as the trivial subgroup instead of the center
-    from cdlat import checks
-
-    true_centralizer = checks.centralizer
+    # C(G) of D8 reported as the trivial subgroup instead of the center;
+    # the check reads centralizers from the group's lattice index, which
+    # forms them when a fresh group first asks for it
+    true_centralizer = subgroups.centralizer
 
     def wrong(g, h):
         if h.order == g.order:
             return subgroups.trivial_subgroup(g)
         return true_centralizer(g, h)
 
-    monkeypatch.setattr(checks, "centralizer", wrong)
+    monkeypatch.setattr(subgroups, "centralizer", wrong)
     v = run_check("measure-lemmas", fresh_group("D8"))
     assert v.status == "failed"
     assert v.witness["note"] in {
@@ -258,3 +258,49 @@ def test_run_pairs_parses_each_spec_once_in_order(monkeypatch):
     with pytest.raises(ParseError):
         run_pairs([("sym-cd", "S4"), ("sym-cd", "S("), ("sym-cd", "S5")])
     assert ran == ["sym-cd"]
+
+
+def test_cd_sublattice_fails_on_a_wrong_product_set(monkeypatch):
+    # the literal product set is the check's independent test of each join
+    from cdlat import checks
+
+    monkeypatch.setattr(checks, "product_set_mask", lambda g, h, k: h.mask)
+    v = run_check("cd-sublattice", fresh_group("D8"))
+    assert v.status == "failed"
+    assert v.witness["note"] == "literal product set HK differs from join"
+    assert len(v.witness["subgroups"]) == 2
+
+
+def test_useful_prop_reaches_every_subgroup_above_u_and_its_centralizer(monkeypatch):
+    # each S with U C_G(U) <= S < G in turn drops U from its lattice: the
+    # check must fail at exactly that pair, so its walk visits every such S
+    from types import SimpleNamespace
+
+    from cdlat import all_subgroups, cd_lattice, checks
+
+    from bruteforce import brute_centralizer_mask
+
+    g = fresh_group("corpus:g32")
+    full = (1 << g.order) - 1
+    expected = []
+    for m in cd_lattice(g).members:
+        u = m.subgroup.mask
+        v = u | brute_centralizer_mask(g, u)
+        expected += [(u, s.mask) for s in all_subgroups(g) if s.mask != full and not v & ~s.mask]
+    v = run_check("useful-prop", g)
+    assert v.status == "passed" and v.stats["pairs_checked"] == len(expected) > 20
+    real = checks.cd_of_subgroup
+    for u, s in expected:
+
+        def dropping(g, sub, u=u, s=s):
+            masks = real(g, sub).member_masks
+            if sub.mask == s:
+                masks = tuple(m for m in masks if m != u)
+            return SimpleNamespace(member_masks=masks)
+
+        monkeypatch.setattr(checks, "cd_of_subgroup", dropping)
+        v = run_check("useful-prop", g)
+        assert v.status == "failed"
+        assert v.witness["note"] == "member with U C(U) <= S < G missing from S's lattice"
+        got = [sum(1 << x for x in item["elements"]) for item in v.witness["subgroups"]]
+        assert got == [u, s]

@@ -397,6 +397,25 @@ def test_cli_cayley_error_echoes_a_bounded_part_of_the_line(text, prefix, tmp_pa
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ("9" * 4000 + "\n0\n", "error: cayley file has 1 rows, expected 999"),
+        ("-" + "9" * 4000 + "\n0\n", "error: cayley file order must be positive, got -999"),
+    ],
+    ids=["rows", "negative"],
+)
+def test_cli_cayley_error_echoes_a_bounded_part_of_the_order(text, prefix, tmp_path, capsys):
+    # a 4000-digit order parses as an int, and is echoed by its first 60
+    # characters only
+    path = tmp_path / "big.cay"
+    path.write_text(text)
+    assert main(["compute", f"cayley:{path}", "--no-cache"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.endswith("9…\n")
+    assert err.count("\n") == 1 and len(err) < 120
+
+
 @pytest.mark.parametrize("command", [["compute", "--no-cache"], ["verify", "all"]])
 def test_cli_spec_nesting_is_bounded(command, tmp_path, capsys):
     # deep enough to exhaust the recursion of the parser, or of the

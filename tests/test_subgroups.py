@@ -391,12 +391,73 @@ def test_lattice_join_matches_brute_force_for_every_pair():
     for g in pair_oracle_groups():
         subs = all_subgroups(g)
         join = lattice_join(subs)
+        lattice = subgroups.lattice_index(subs)
         for i, h in enumerate(subs):
+            # above[i] holds exactly the subgroups that contain subs[i]
+            want_above = sum(1 << j for j, k in enumerate(subs) if not h.mask & ~k.mask)
+            assert lattice.above[i] == want_above, (g.name, h.mask)
+            assert lattice.index[h.mask] == i
+            want_cent = brute_centralizer_mask(g, h.mask)
+            assert subs[lattice.cent[i]].mask == want_cent, (g.name, h.mask)
             for j, k in enumerate(subs):
                 pairs += 1
                 want = brute_closure_mask(g, bits_of(h.mask | k.mask))
                 assert subs[join(i, j)].mask == want, (g.name, h.mask, k.mask)
     assert pairs == 22325
+
+
+def test_lattice_index_is_kept_for_the_enumeration_tuple_alone():
+    g = fresh_group("S4")
+    subs = all_subgroups(g)
+    kept = subgroups.lattice_index(subs)
+    assert g._cache["lattice"] is kept and subgroups.lattice_index(subs) is kept
+    assert lattice_join(subs).__self__ is kept
+    # every subgroup again, sorted by order with the ties reversed: the
+    # positions differ, so an index served from the cache would be wrong
+    rank = {h.mask: i for i, h in enumerate(subs)}
+    reordered = tuple(sorted(subs, key=lambda h: (h.order, -rank[h.mask])))
+    assert reordered != subs
+    for other in (list(subs), tuple(list(subs)), reordered):
+        lattice = subgroups.lattice_index(other)
+        assert lattice is not kept and lattice.subs is other
+        assert g._cache["lattice"] is kept
+        join = lattice_join(other)
+        for i, h in enumerate(other):
+            for j, k in enumerate(other):
+                want = brute_closure_mask(g, bits_of(h.mask | k.mask))
+                assert other[join(i, j)].mask == want
+    # a new enumeration tuple replaces the kept index
+    del g._cache["subgroups"]
+    fresh = all_subgroups(g)
+    assert fresh is not subs
+    assert subgroups.lattice_index(fresh) is not kept
+    assert g._cache["lattice"].subs is fresh
+
+
+def test_a_verify_pass_builds_each_lattice_index_once(monkeypatch):
+    from cdlat import corpus, specparse
+    from cdlat.checks import default_pairs, run_pairs
+
+    # fresh groups, so the first pass starts with no index built
+    monkeypatch.setattr(specparse, "_EVAL_CACHE", {})
+    monkeypatch.setattr(corpus, "_CACHE", {})
+    built = []
+    build = subgroups.LatticeIndex
+
+    def spy(g, subs):
+        built.append(g)
+        return build(g, subs)
+
+    monkeypatch.setattr(subgroups, "LatticeIndex", spy)
+    pairs = default_pairs()
+    cold = run_pairs(pairs)
+    readers = {"cd-sublattice", "measure-lemmas", "useful-prop"}
+    specs = {v.group_spec for v in cold if v.check_id in readers and v.status == "passed"}
+    assert len(built) == len({id(g) for g in built}) == len(specs)
+    built.clear()
+    warm = run_pairs(pairs)
+    assert built == []
+    assert [(v.status, v.stats) for v in warm] == [(v.status, v.stats) for v in cold]
 
 
 def test_product_set_matches_brute_force_for_every_pair():
