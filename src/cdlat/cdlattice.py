@@ -147,18 +147,24 @@ def cd_lattice(g: Group) -> CDResult:
 
 
 def _hasse_edges(masks: list[int]) -> tuple[tuple[int, int], ...]:
-    # pairwise containment, then transitive reduction
-    m = len(masks)
-    leq = _leq_matrix(masks)
+    # transitive reduction on up-set bitsets (Aho, Garey & Ullman 1972):
+    # j covers i when no k strictly above i lies strictly below j
+    above = _above(masks)
     edges = []
-    for i in range(m):
-        for j in range(m):
-            if i == j or not leq[i][j]:
-                continue
-            if any(leq[i][k] and leq[k][j] for k in range(m) if k != i and k != j):
-                continue
-            edges.append((i, j))
+    for i, up in enumerate(above):
+        covers = up
+        for j in bits_of(up):
+            covers &= ~above[j]
+        edges.extend((i, j) for j in bits_of(covers))
     return tuple(edges)
+
+
+def _above(masks: list[int]) -> list[int]:
+    """For each i, the bitset of the j != i with masks[i] <= masks[j]."""
+    return [
+        sum(1 << j for j, mj in enumerate(masks) if j != i and mi & ~mj == 0)
+        for i, mi in enumerate(masks)
+    ]
 
 
 def cl_subgroups(g: Group) -> tuple[Subgroup, ...]:
@@ -201,8 +207,8 @@ def lattice_isomorphic(a: CDResult, b: CDResult) -> bool:
     """True iff a bijection preserving <= in both directions exists.
 
     Brute-force backtracking over member bijections, pruned by iterated
-    (down-set size, up-set size, cover degrees) signatures; capped at
-    ISO_MEMBER_CAP members.
+    (up-set size, down-set size) signatures refined over the strict up-
+    and down-sets; capped at ISO_MEMBER_CAP members.
     """
     if len(a.members) > ISO_MEMBER_CAP or len(b.members) > ISO_MEMBER_CAP:
         raise TooLargeForIso(
@@ -210,10 +216,10 @@ def lattice_isomorphic(a: CDResult, b: CDResult) -> bool:
         )
     if len(a.members) != len(b.members):
         return False
-    rel_a = _leq_matrix(a.member_masks())
-    rel_b = _leq_matrix(b.member_masks())
-    sig_a = _signatures(rel_a)
-    sig_b = _signatures(rel_b)
+    up_a = _above(a.member_masks())
+    up_b = _above(b.member_masks())
+    sig_a = _signatures(up_a)
+    sig_b = _signatures(up_b)
     if sorted(sig_a) != sorted(sig_b):
         return False
     n = len(sig_a)
@@ -229,7 +235,7 @@ def lattice_isomorphic(a: CDResult, b: CDResult) -> bool:
                 continue
             ok = True
             for i2, j2 in mapping.items():
-                if rel_a[i][i2] != rel_b[j][j2] or rel_a[i2][i] != rel_b[j2][j]:
+                if (up_a[i] >> i2 ^ up_b[j] >> j2) & 1 or (up_a[i2] >> i ^ up_b[j2] >> j) & 1:
                     ok = False
                     break
             if ok:
@@ -244,22 +250,16 @@ def lattice_isomorphic(a: CDResult, b: CDResult) -> bool:
     return assign(0, {})
 
 
-def _leq_matrix(masks: list[int]) -> list[list[bool]]:
-    return [[mi & ~mj == 0 for mj in masks] for mi in masks]
-
-
-def _signatures(rel: list[list[bool]]) -> list[tuple]:
-    n = len(rel)
-    sig = [
-        (sum(rel[i][j] for j in range(n)), sum(rel[j][i] for j in range(n)))
-        for i in range(n)
-    ]
+def _signatures(up: list[int]) -> list[tuple]:
+    n = len(up)
+    down = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
+    sig = [(up[i].bit_count(), down[i].bit_count()) for i in range(n)]
     for _ in range(3):
         sig = [
             (
                 sig[i],
-                tuple(sorted(sig[j] for j in range(n) if rel[i][j] and i != j)),
-                tuple(sorted(sig[j] for j in range(n) if rel[j][i] and i != j)),
+                tuple(sorted(sig[j] for j in bits_of(up[i]))),
+                tuple(sorted(sig[j] for j in bits_of(down[i]))),
             )
             for i in range(n)
         ]

@@ -5,7 +5,7 @@ defect."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationLimitExceeded, SubgroupCapExceeded
 from .groups import DEFAULT_ORDER_CAP, TABLE_LIMIT, Group
@@ -234,12 +234,6 @@ def lattice_index(subs: Sequence[Subgroup]) -> LatticeIndex:
     if subs is g._cache.get("subgroups"):
         g._cache["lattice"] = built
     return built
-
-
-def lattice_join(subs: Sequence[Subgroup]) -> Callable[[int, int], int]:
-    """The index in subs of the join of subs[i] and subs[j], for every
-    subgroup of a group sorted by order, as all_subgroups returns them."""
-    return lattice_index(subs).join
 
 
 def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:

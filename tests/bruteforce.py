@@ -8,7 +8,7 @@ extensions and caches, so the two paths can disagree when one is wrong.
 from __future__ import annotations
 
 import random
-from itertools import combinations, repeat
+from itertools import combinations, permutations, repeat
 from operator import itemgetter
 
 from cdlat import Group, NotAGroup
@@ -228,6 +228,37 @@ def brute_cd_members(g: Group, within: int | None = None) -> tuple[int, list[int
             members.append(h)
     members.sort(key=lambda h: (h.bit_count(), [x for x in range(g.order) if h >> x & 1]))
     return best, members
+
+
+def brute_hasse_edges(masks: list[int]) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j) of distinct masks, masks[i] < masks[j] with no
+    masks[k] strictly between, by testing every k against a full
+    containment matrix; i ascending, then j."""
+    m = len(masks)
+    leq = [[mi & ~mj == 0 for mj in masks] for mi in masks]
+    edges = []
+    for i in range(m):
+        for j in range(m):
+            if i == j or not leq[i][j]:
+                continue
+            if any(leq[i][k] and leq[k][j] for k in range(m) if k != i and k != j):
+                continue
+            edges.append((i, j))
+    return tuple(edges)
+
+
+def brute_order_isomorphic(a: list[int], b: list[int]) -> bool:
+    """True iff some bijection of the two mask families preserves
+    containment both ways, by trying every bijection."""
+    if len(a) != len(b):
+        return False
+    leq_a = [[x & ~y == 0 for y in a] for x in a]
+    leq_b = [[x & ~y == 0 for y in b] for x in b]
+    n = len(a)
+    return any(
+        all(leq_a[i][j] == leq_b[p[i]][p[j]] for i in range(n) for j in range(n))
+        for p in permutations(range(n))
+    )
 
 
 def fresh_group(spec: str) -> Group:

@@ -175,6 +175,22 @@ MUTANTS = (
         "closed.add(c)",
         ("tests/test_cdlattice.py",),
     ),
+    # the Hasse reduction: keep every containment, or reduce by up-sets
+    # that hold the member itself
+    Mutant(
+        "hasse-keeps-implied-edge",
+        _CDLATTICE,
+        "            covers &= ~above[j]\n",
+        "            pass\n",
+        ("tests/test_cdlattice.py",),
+    ),
+    Mutant(
+        "hasse-up-set-reflexive",
+        _CDLATTICE,
+        "if j != i and mi & ~mj == 0",
+        "if mi & ~mj == 0",
+        ("tests/test_cdlattice.py",),
+    ),
     # a wreath by C1 has a trivial top and no sigma generator
     Mutant(
         "wreath-c1-sigma",

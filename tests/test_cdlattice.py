@@ -1,5 +1,8 @@
 """Lattice extraction against the worked small-group examples."""
 
+import random
+from itertools import product
+
 import pytest
 
 from cdlat import (
@@ -26,7 +29,15 @@ from cdlat.report import build_report, report_json
 from cdlat import subgroups
 from cdlat.subgroups import subnormal_defect
 
-from bruteforce import brute_cd_members, brute_centralizer_mask, fresh_group, relabelled
+from bruteforce import (
+    ORACLE_SPECS,
+    brute_cd_members,
+    brute_centralizer_mask,
+    brute_hasse_edges,
+    brute_order_isomorphic,
+    fresh_group,
+    relabelled,
+)
 
 
 def masks(result):
@@ -128,13 +139,40 @@ def test_d8_q8_lattices_isomorphic():
     assert not lattice_isomorphic(s4, s3)
 
 
+def fake_result(subs):
+    """A CDResult whose members are the given subgroups, for the order
+    tests alone: the annotations are placeholders."""
+    members = tuple(CDMember(h, True, 1, False, 0) for h in subs)
+    return CDResult(group=subs[0].ambient, max_measure=0, members=members, hasse_edges=())
+
+
 def test_iso_rejects_same_size_different_shape():
-    # CD(C2 x S3 x S3)? build two four-member lattices directly instead:
-    # chain C8 > C4 > C2 > 1 is not what CD gives; compare via crafted
-    # results from real groups with equal member counts but unequal shape
-    c2 = cd_lattice(named_group("C", 2))
-    c3 = cd_lattice(named_group("C", 3))
-    assert lattice_isomorphic(c2, c3)  # both singletons
+    # the subgroups of C8 form a 4-chain; 1, two of the order-2 subgroups
+    # and V4 itself form a 4-member diamond
+    chain = all_subgroups(named_group("C", 8))
+    v4 = all_subgroups(named_group("D", 4))
+    assert len(chain) == 4 and len(v4) == 5
+    chain, diamond = fake_result(chain), fake_result(v4[:3] + v4[4:])
+    other_diamond = fake_result(v4[:1] + v4[2:])
+    assert not lattice_isomorphic(chain, diamond)
+    assert not lattice_isomorphic(diamond, chain)
+    assert lattice_isomorphic(chain, chain)
+    assert lattice_isomorphic(diamond, other_diamond)
+
+
+def test_iso_agrees_with_a_search_over_every_bijection():
+    # families of up to six subgroups of C2^4, against a second family of
+    # the same size: half a shuffle of the first, half drawn afresh
+    subs = all_subgroups(evaluate("C2 x C2 x C2 x C2"))
+    rng = random.Random(24)
+    verdicts = set()
+    for trial in range(300):
+        a = rng.sample(subs, rng.randint(1, 6))
+        b = rng.sample(a, len(a)) if trial % 2 else rng.sample(subs, len(a))
+        want = brute_order_isomorphic([h.mask for h in a], [h.mask for h in b])
+        assert lattice_isomorphic(fake_result(a), fake_result(b)) == want, trial
+        verdicts.add((trial % 2, want))
+    assert verdicts == {(0, False), (0, True), (1, True)}
 
 
 def test_iso_cap():
@@ -199,6 +237,22 @@ def test_hasse_is_transitive_reduction():
         for c, d in edges:
             if b == c:
                 assert (a, d) not in edges
+    # and every cover present: Z below the three order-4 members, each
+    # below D8
+    assert [m.subgroup.order for m in result.members] == [2, 4, 4, 4, 8]
+    assert result.hasse_edges == ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
+
+
+def test_hasse_edges_match_brute_force():
+    for spec in ORACLE_SPECS:
+        result = cd_lattice(evaluate(spec))
+        assert result.hasse_edges == brute_hasse_edges(result.member_masks()), spec
+    # CD(D8)^4 as masks on four blocks of 8 bits: 625 members, 3000 covers
+    d8 = cd_lattice(named_group("D", 8)).member_masks()
+    family = [a | b << 8 | c << 16 | d << 24 for a, b, c, d in product(d8, repeat=4)]
+    edges = _hasse_edges(family)
+    assert len(family) == 625 and len(edges) == 3000
+    assert edges == brute_hasse_edges(family)
 
 
 def test_cached_results_respect_the_caps():
@@ -254,7 +308,7 @@ def enumerate_then_scan(g):
         members.append(
             CDMember(h, defect <= 1, defect, cent & ~h.mask == 0, index[cent])
         )
-    edges = _hasse_edges([h.mask for h in found])
+    edges = brute_hasse_edges([h.mask for h in found])
     return CDResult(g, best, tuple(members), edges)
 
 
@@ -311,10 +365,11 @@ def test_max_subgroups_caps_the_subgroups_the_replay_discovers(monkeypatch):
     assert report == build_report("D12 wr C2", g, result)
 
 
-@pytest.mark.parametrize("spec", ["D8 x D8 x C2", "D8 wr C2"])
+@pytest.mark.parametrize("spec", ["D8 x D8 x C2", "D8 wr C2", "Q8 wr C3"])
 def test_lattice_is_invariant_under_relabelling(spec):
     # the same group under shuffled labels (identity kept at 0), rebuilt
-    # from its bare table: the lattice must map over exactly
+    # from its bare table: the lattice must map over exactly.  Q8 wr C3
+    # (order 1536, 125 members) lies past the enumeration limit
     g = evaluate(spec)
     n = g.order
     h, label = relabelled(g, 29)

@@ -28,7 +28,7 @@ from cdlat.groups import TABLE_LIMIT
 from cdlat.report import build_report
 from cdlat.specparse import evaluate
 from cdlat import subgroups
-from cdlat.subgroups import bits_of, lattice_join, product_set_mask, replay_subgroups
+from cdlat.subgroups import bits_of, product_set_mask, replay_subgroups
 
 from bruteforce import (
     ORACLE_SPECS,
@@ -390,8 +390,8 @@ def test_lattice_join_matches_brute_force_for_every_pair():
     pairs = 0
     for g in pair_oracle_groups():
         subs = all_subgroups(g)
-        join = lattice_join(subs)
         lattice = subgroups.lattice_index(subs)
+        join = lattice.join
         for i, h in enumerate(subs):
             # above[i] holds exactly the subgroups that contain subs[i]
             want_above = sum(1 << j for j, k in enumerate(subs) if not h.mask & ~k.mask)
@@ -411,7 +411,6 @@ def test_lattice_index_is_kept_for_the_enumeration_tuple_alone():
     subs = all_subgroups(g)
     kept = subgroups.lattice_index(subs)
     assert g._cache["lattice"] is kept and subgroups.lattice_index(subs) is kept
-    assert lattice_join(subs).__self__ is kept
     # every subgroup again, sorted by order with the ties reversed: the
     # positions differ, so an index served from the cache would be wrong
     rank = {h.mask: i for i, h in enumerate(subs)}
@@ -421,7 +420,7 @@ def test_lattice_index_is_kept_for_the_enumeration_tuple_alone():
         lattice = subgroups.lattice_index(other)
         assert lattice is not kept and lattice.subs is other
         assert g._cache["lattice"] is kept
-        join = lattice_join(other)
+        join = lattice.join
         for i, h in enumerate(other):
             for j, k in enumerate(other):
                 want = brute_closure_mask(g, bits_of(h.mask | k.mask))
