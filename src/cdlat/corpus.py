@@ -7,7 +7,6 @@ from typing import Callable
 
 from .errors import UnknownFixture
 from .groups import Group, named_group, product_table, ut_entry_bit
-from .records import Record
 from .subgroups import Subgroup, closure
 
 # generator indices of the order-32 fixture under its normal-form encoding
@@ -36,28 +35,11 @@ def _build_g32() -> Group:
     return Group(32, name="g32", rows=product_table(32, mul, gens), known_gens=gens)
 
 
-def _build_ut52() -> Group:
-    return named_group("UT", 5)
-
-
-class CorpusEntry(Record):
-    __slots__ = ("name", "builder", "notes")
-    name: str
-    builder: Callable[[], Group]
-    notes: str
-
-
-_REGISTRY: dict[str, CorpusEntry] = {
-    "g32": CorpusEntry(
-        "g32",
-        _build_g32,
-        "order-32 rewriting-system fixture with non-normal lattice members",
-    ),
-    "ut52": CorpusEntry(
-        "ut52",
-        _build_ut52,
-        "UT(5,2), order 2^10, with its rank-6 abelian block subgroup",
-    ),
+# g32: the order-32 rewriting-system fixture, with non-normal lattice members
+# ut52: UT(5,2), order 2^10, with its rank-6 abelian block subgroup
+_REGISTRY: dict[str, Callable[[], Group]] = {
+    "g32": _build_g32,
+    "ut52": lambda: named_group("UT", 5),
 }
 
 _CACHE: dict[str, Group] = {}
@@ -65,13 +47,13 @@ _CACHE: dict[str, Group] = {}
 
 def corpus_group(name: str) -> Group:
     """The registered fixture group; instances are cached per process."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
+    builder = _REGISTRY.get(name)
+    if builder is None:
         known = ", ".join(sorted(_REGISTRY))
         raise UnknownFixture(f"no corpus fixture {name!r} (known: {known})")
     group = _CACHE.get(name)
     if group is None:
-        group = entry.builder()
+        group = builder()
         _CACHE[name] = group
     return group
 

@@ -482,14 +482,10 @@ def from_permutations(
     def mul(a: int, b: int, _e=elems, _i=index) -> int:
         return _i[_compose(_e[a], _e[b])]
 
-    def row(s: int) -> list[int]:
-        p = elems[s]
-        return [index[_compose(p, q)] for q in elems]
-
     return Group(
         n,
         name=name or f"perm{n}",
-        rows=product_table(n, mul, gens, row=row),
+        rows=product_table(n, mul, gens),
         inv_table=inv,
         known_gens=gens,
         perm_images=elems,

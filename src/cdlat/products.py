@@ -36,27 +36,18 @@ def direct_product(
     o2 = h.order
     right = f"({h.name})" if " x " in h.name else h.name
     gt, ht = g.table, h.table
-    g_elems, h_elems = range(g.order), range(o2)
 
     def mul(x: int, y: int) -> int:
         a1, b1 = divmod(x, o2)
         a2, b2 = divmod(y, o2)
         return gt[a1][a2] * o2 + ht[b1][b2]
 
-    def row(x: int) -> list[int]:
-        # (a, b)(a', b') = (a a', b b'): row a of g, each entry shifted into
-        # the leading coordinate, beside row b of h
-        a, b = divmod(x, o2)
-        lead = [c * o2 for c in map(gt[a].__getitem__, g_elems)]
-        rest = list(map(ht[b].__getitem__, h_elems))
-        return [p + q for p in lead for q in rest]
-
     gens = tuple(x * o2 for x in g.known_gens) + h.known_gens
     return Group(
         order,
         name=f"{g.name} x {right}",
-        rows=product_table(order, mul, gens, row=row),
-        inv_table=[g.inv(a) * o2 + h.inv(b) for a in g_elems for b in h_elems],
+        rows=product_table(order, mul, gens),
+        inv_table=[g.inv(a) * o2 + h.inv(b) for a in range(g.order) for b in range(o2)],
         known_gens=gens,
         product_meta=DirectProductMeta(factors=(g, h)),
     )

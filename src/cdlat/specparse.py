@@ -17,11 +17,12 @@ from __future__ import annotations
 import os
 from typing import Union
 
-from .errors import OrderCapExceeded, ParseError
+from .errors import ParseError
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     PermutationGenSet,
+    _cap,
     from_cayley_file,
     from_permutations,
     named_group,
@@ -348,8 +349,5 @@ def _evaluate(node: GroupSpec, max_order: int) -> Group:
 
 def _capped(node: GroupSpec, group: Group, max_order: int) -> Group:
     # fixtures and Cayley files have a fixed order, known once built
-    if group.order > max_order:
-        raise OrderCapExceeded(
-            f"{spec_text(node)} has order {group.order} > cap {max_order}"
-        )
+    _cap(group.order, max_order, spec_text(node))
     return group

@@ -207,13 +207,21 @@ MUTANTS = (
         "() if known_gens is None else known_gens",
         ("tests/test_tables.py", "tests/test_products.py"),
     ),
-    # a direct product's generator rows multiply coordinate-wise
+    # a direct product multiplies coordinate-wise, and a permutation
+    # product applies the left factor's images first
     Mutant(
         "direct-product-row",
         _PRODUCTS,
-        "        a, b = divmod(x, o2)\n",
-        "        b, a = divmod(x, o2)\n",
+        "        a1, b1 = divmod(x, o2)\n",
+        "        b1, a1 = divmod(x, o2)\n",
         ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "permutation-mul-order",
+        _GROUPS,
+        "_compose(_e[a], _e[b])",
+        "_compose(_e[b], _e[a])",
+        ("tests/test_groups.py",),
     ),
     Mutant(
         "cache-dir-variable",

@@ -1,5 +1,7 @@
 """Direct products, wreath products, and their structural maps."""
 
+import itertools
+
 import pytest
 
 from cdlat import (
@@ -15,6 +17,7 @@ from cdlat import (
     closure,
     diagonal_subgroup,
     direct_product,
+    evaluate,
     from_cayley,
     full_subgroup,
     is_normal,
@@ -240,6 +243,40 @@ def test_cl_of_product_is_product_of_cls():
         if y.is_centrally_large
     }
     assert got == want and len(got) == 4
+
+
+def _cd_and_cl(g):
+    members = cd_lattice(g).members
+    return [m.subgroup for m in members], [m.subgroup for m in members if m.is_centrally_large]
+
+
+@pytest.mark.parametrize("spec", ["A5 x D12", "S5 x D8"])
+def test_cd_and_cl_of_a_product_past_the_enumeration_limit(spec):
+    # CD(G x K) = CD(G) x CD(K) and CL(G x K) = CL(G) x CL(K), at orders
+    # 720 and 960, where no subgroup enumeration runs
+    p = evaluate(spec)
+    g, k = p.product_meta.factors
+    result = cd_lattice(p)
+    for got, xs, ys in zip(
+        (result.member_masks(), result.cl_masks()), _cd_and_cl(g), _cd_and_cl(k)
+    ):
+        assert set(got) == {product_subgroup(p, x, y).mask for x in xs for y in ys}
+
+
+@pytest.mark.parametrize("spec", ["D8 wr C3", "Q8 wr C3"])
+def test_cd_and_cl_of_an_odd_prime_wreath_are_base_products(spec):
+    # for Z(G) != 1 and p an odd prime, CD(G wr C_p) is the set of base
+    # products of CD(G)^p, and CL likewise; order 1536, 125 members
+    w = evaluate(spec)
+    result = cd_lattice(w)
+    bottom = w.product_meta.bottom
+    for got, parts in zip((result.member_masks(), result.cl_masks()), _cd_and_cl(bottom)):
+        want = {
+            base_product_subgroup(w, list(combo)).mask
+            for combo in itertools.product(parts, repeat=3)
+        }
+        assert set(got) == want
+    assert len(result.members) == 125
 
 
 def test_wreath_base_over_a_bottom_without_known_generators():

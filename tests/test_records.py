@@ -19,7 +19,6 @@ from cdlat import BadParameter, CDMember, CDResult, PermutationGenSet, Verdict
 from cdlat import DirectProductMeta, WreathMeta, named_group, parse_spec, spec_text
 from cdlat.cdlattice import SubgroupCD
 from cdlat.checks import CheckDef
-from cdlat.corpus import CorpusEntry
 from cdlat.specparse import (
     CayleyAtom,
     CorpusAtom,
@@ -35,10 +34,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 C2 = named_group("C", 2)
 S3 = named_group("S", 3)
-
-
-def _build_c2():
-    return C2
 
 
 SPEC_NODES = [
@@ -65,7 +60,6 @@ FROZEN = SPEC_NODES + [
     (CDResult, {"group": C2, "max_measure": 4, "members": (), "hasse_edges": ((0, 1),)}),
     (SubgroupCD, {"ambient": S3, "max_measure": 9, "member_masks": (7,), "cl_masks": ()}),
     (CheckDef, {"check_id": "x", "claim": "a claim", "fn": len, "default_specs": ("C2",)}),
-    (CorpusEntry, {"name": "c2", "builder": _build_c2, "notes": "a note"}),
     (PermutationGenSet, {"degree": 3, "generators": ((1, 0, 2), (0, 2, 1))}),
     (DirectProductMeta, {"factors": (C2, S3)}),
     (WreathMeta, {"bottom": S3, "top_order": 2}),
@@ -86,7 +80,6 @@ MODULES = {
     SubgroupCD: "cdlat.cdlattice",
     Verdict: "cdlat.checks",
     CheckDef: "cdlat.checks",
-    CorpusEntry: "cdlat.corpus",
     PermutationGenSet: "cdlat.groups",
     DirectProductMeta: "cdlat.products",
     WreathMeta: "cdlat.products",
@@ -101,7 +94,7 @@ def _ids(case):
 
 
 def test_every_record_class_is_listed():
-    assert len(ALL) == len(MODULES) == 16
+    assert len(ALL) == len(MODULES) == 15
 
 
 @pytest.mark.parametrize("case", ALL, ids=_ids)

@@ -26,7 +26,7 @@ from cdlat import (
     report_json,
     wreath_cyclic,
 )
-from cdlat import groups
+from cdlat import groups, products, specparse
 from cdlat.corpus import (
     ENUMERABLE_WREATH_SPECS,
     WREATH_CORPUS_SPECS,
@@ -125,32 +125,57 @@ FAMILY_SPECS = [("C", 1), ("C", 2), ("C", 7), ("D", 4), ("D", 12), ("D", 16), ("
                 ("Q", 16), ("UT", 2), ("UT", 3), ("UT", 4)]
 
 
-@pytest.mark.parametrize("family, n", FAMILY_SPECS)
-def test_named_family_table_matches_its_formula_at_gens_times_n_calls(monkeypatch, family, n):
-    # product_table gathers every row from the generator rows, so it calls
-    # the family's formula once per generator-row entry, never n**2 times
+def _count_formula_calls(monkeypatch):
+    """Record (order, mul, gens, calls to mul, table) for every table that
+    product_table builds; products imports it by name, so both bindings
+    are patched."""
     seen = []
     tabulate = groups.product_table
 
-    def counted(order, mul, gens, *limit):
+    def counted(order, mul, gens, *limit, **row):
         calls = [0]
 
         def counting_mul(a, b):
             calls[0] += 1
             return mul(a, b)
 
-        table = tabulate(order, counting_mul, gens, *limit)
-        seen.append((order, mul, tuple(gens), calls[0]))
+        table = tabulate(order, counting_mul, gens, *limit, **row)
+        seen.append((order, mul, tuple(gens), calls[0], table))
         return table
 
     monkeypatch.setattr(groups, "product_table", counted)
-    g = named_group(family, n)
-    [(order, mul, gens, calls)] = seen
-    assert gens == g.known_gens
+    monkeypatch.setattr(products, "product_table", counted)
+    return seen
+
+
+def _check_gathered_from_formula(order, mul, gens, calls, table):
+    # product_table gathers every row from the generator rows, so it calls
+    # the formula once per generator-row entry, never n**2 times
     assert calls <= len(gens) * order
-    rows = g.rows()
-    assert rows is not None
-    assert all(rows[a] == tuple(mul(a, b) for b in range(order)) for a in range(order))
+    assert all(table[a] == tuple(mul(a, b) for b in range(order)) for a in range(order))
+
+
+@pytest.mark.parametrize("family, n", FAMILY_SPECS)
+def test_named_family_table_matches_its_formula_at_gens_times_n_calls(monkeypatch, family, n):
+    seen = _count_formula_calls(monkeypatch)
+    g = named_group(family, n)
+    [built] = seen
+    _check_gathered_from_formula(*built)
+    assert (g.known_gens, g.rows()) == (built[2], built[4])
+
+
+@pytest.mark.parametrize(
+    "spec", ["S4", "A5", "perm:[(1,2,3)(4,5),(1,4)]", "D8 x C4", "D8 x D8 x C2"]
+)
+def test_permutation_and_product_tables_match_mul_at_gens_times_n_calls(monkeypatch, spec):
+    # an empty evaluation cache builds every factor again under the spy;
+    # the spec's own group is tabulated last
+    monkeypatch.setattr(specparse, "_EVAL_CACHE", {})
+    seen = _count_formula_calls(monkeypatch)
+    g = evaluate(spec)
+    for built in seen:
+        _check_gathered_from_formula(*built)
+    assert (g.known_gens, g.rows()) == (seen[-1][2], seen[-1][4])
 
 
 def test_gather_rows_raises_on_generators_that_do_not_generate():
