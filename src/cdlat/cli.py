@@ -56,63 +56,142 @@ def _count(text: str) -> int:
     return value
 
 
+def _common_flags(max_order_help: str) -> dict:
+    return {
+        "--json": ("json", str, None, "PATH", "write a JSON report here"),
+        "--max-order": ("max_order", _count, None, "N", max_order_help),
+        "--threads": (
+            "threads",
+            _count,
+            1,
+            "N",
+            "accepted for compatibility; work runs sequentially and the output "
+            "does not depend on N",
+        ),
+    }
+
+
+# Each command's arguments, declared once: build_parser makes argparse
+# actions of them and _parse_fast reads them directly.  A command is
+# (help, positionals, flags).  A positional is (dest, default, help) and is
+# required when its default is None.  A flag maps its option string to
+# (dest, type, default, metavar, help); type None marks a store-true flag,
+# which takes no value.
+_COMMANDS = {
+    "compute": (
+        "compute the lattice of one group spec",
+        (("spec", None, 'group spec, e.g. "D8 wr C2" or "corpus:g32"'),),
+        {
+            **_common_flags("cap on constructed group order and enumeration size"),
+            "--dot": ("dot", str, None, "PATH", "write a DOT diagram here"),
+            "--max-subgroups": (
+                "max_subgroups",
+                _count,
+                DEFAULT_SUBGROUP_CAP,
+                "N",
+                "cap on the subgroups discovered while finding member generators",
+            ),
+            "--no-cache": ("no_cache", None, False, None, "bypass the result cache"),
+            "--cache-dir": (
+                "cache_dir",
+                str,
+                None,
+                "PATH",
+                "cache directory (default: CDLAT_CACHE_DIR or ~/.cache/cdlat)",
+            ),
+        },
+    ),
+    "verify": (
+        "run named checks against groups",
+        (
+            ("check", "all", 'check id or "all" (default)'),
+            ("target", "corpus", 'group spec or "corpus" for the default corpus (default)'),
+        ),
+        {
+            "--check": ("check_flag", str, None, "ID", "same as the positional check id"),
+            **_common_flags(
+                "cap on the order of every group verify builds and enumerates, corpus "
+                "included"
+            ),
+        },
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of `_COMMANDS`: it parses what `_parse_fast`
+    defers, and prints help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="cdlat",
         description="Compute and verify maximal-measure subgroup lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, max_order_help):
-        p.add_argument("--json", metavar="PATH", help="write a JSON report here")
-        p.add_argument("--max-order", type=_count, metavar="N", help=max_order_help)
-        p.add_argument(
-            "--threads",
-            type=_count,
-            default=1,
-            metavar="N",
-            help="accepted for compatibility; work runs sequentially and the output "
-            "does not depend on N",
-        )
-
-    pc = sub.add_parser("compute", help="compute the lattice of one group spec")
-    pc.add_argument("spec", help='group spec, e.g. "D8 wr C2" or "corpus:g32"')
-    common(pc, "cap on constructed group order and enumeration size")
-    pc.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
-    pc.add_argument(
-        "--max-subgroups",
-        type=_count,
-        default=DEFAULT_SUBGROUP_CAP,
-        metavar="N",
-        help="cap on the subgroups discovered while finding member generators",
-    )
-    pc.add_argument("--no-cache", action="store_true", help="bypass the result cache")
-    pc.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="cache directory (default: CDLAT_CACHE_DIR or ~/.cache/cdlat)",
-    )
-
-    pv = sub.add_parser("verify", help="run named checks against groups")
-    pv.add_argument(
-        "check",
-        nargs="?",
-        default="all",
-        help='check id or "all" (default)',
-    )
-    pv.add_argument(
-        "target",
-        nargs="?",
-        default="corpus",
-        help='group spec or "corpus" for the default corpus (default)',
-    )
-    pv.add_argument("--check", dest="check_flag", metavar="ID", help="same as the positional check id")
-    common(
-        pv,
-        "cap on the order of every group verify builds and enumerates, corpus "
-        "included",
-    )
+    for command, (command_help, positionals, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for dest, default, help_ in positionals:
+            if default is None:
+                p.add_argument(dest, help=help_)
+            else:
+                p.add_argument(dest, nargs="?", default=default, help=help_)
+        for option, (dest, kind, default, metavar, help_) in flags.items():
+            if kind is None:
+                p.add_argument(option, dest=dest, action="store_true", help=help_)
+            else:
+                p.add_argument(
+                    option, dest=dest, type=kind, default=default, metavar=metavar, help=help_
+                )
     return parser
+
+
+def _parse_fast(argv) -> argparse.Namespace | None:
+    """Parse the argv of a well-formed run without building argparse.
+
+    It takes one shape: a command, its positionals, then exact long flags,
+    each valued flag followed by a value that does not start with "-".  On
+    that shape it returns what `build_parser().parse_args(argv)` returns.
+    On any other argv (help, "--", an abbreviated flag, "--flag=value", an
+    unknown flag, a value that starts with "-" or fails its type, a
+    positional after a flag) it returns None, and argparse parses argv and
+    reports what is wrong with it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positionals, flags = _COMMANDS[argv[0]]
+    args = {"command": argv[0]}
+    args.update((dest, default) for dest, _, default, _, _ in flags.values())
+    given = []
+    seen_flag = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if seen_flag:  # argparse rejects some positionals after a flag
+                return None
+            given.append(token)
+            continue
+        if token not in flags:
+            return None
+        seen_flag = True
+        dest, kind, _, _, _ = flags[token]
+        if kind is None:
+            args[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            args[dest] = kind(value)
+        except argparse.ArgumentTypeError:
+            return None
+    if len(given) > len(positionals):
+        return None
+    for k, (dest, default, _) in enumerate(positionals):
+        if k < len(given):
+            args[dest] = given[k]
+        elif default is None:
+            return None
+        else:
+            args[dest] = default
+    return argparse.Namespace(**args)
 
 
 def _write(path: str, text: str) -> bool:
@@ -238,8 +317,11 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_fast(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.command == "compute":
         return _cmd_compute(args)
     return _cmd_verify(args)

@@ -45,6 +45,7 @@ _SUBGROUPS = "src/cdlat/subgroups.py"
 _CDLATTICE = "src/cdlat/cdlattice.py"
 _GROUPS = "src/cdlat/groups.py"
 _PRODUCTS = "src/cdlat/products.py"
+_CLI = "src/cdlat/cli.py"
 
 MUTANTS = (
     # _discover's four pruning rules; dropping one repeats joins
@@ -297,7 +298,7 @@ MUTANTS = (
     ),
     Mutant(
         "compute-cache-write-error",
-        "src/cdlat/cli.py",
+        _CLI,
         "            try:\n"
         "                cache_put(cache_dir, key, json_text)\n"
         "            except OSError as exc:\n",
@@ -305,6 +306,23 @@ MUTANTS = (
         "                cache_put(cache_dir, key, json_text)\n"
         "            except ArithmeticError as exc:\n",
         ("tests/test_report_cli.py",),
+    ),
+    # the fast argv parser defers a positional after a flag and a value
+    # that starts with "-" to argparse, which rejects both
+    Mutant(
+        "fast-parse-positional-after-flag",
+        _CLI,
+        "            if seen_flag:  # argparse rejects some positionals after a flag\n"
+        "                return None\n",
+        "",
+        ("tests/test_cli_parse.py",),
+    ),
+    Mutant(
+        "fast-parse-dash-value",
+        _CLI,
+        'if value is None or value.startswith("-"):',
+        "if value is None:",
+        ("tests/test_cli_parse.py",),
     ),
     # the record classes: Verdict defaults and type-sensitive equality
     Mutant(

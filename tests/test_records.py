@@ -6,8 +6,10 @@ and keyword, its repr, value equality that is sensitive to the type, and
 """
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,10 +17,12 @@ from pathlib import Path
 
 import pytest
 
+import cdlat
 from cdlat import BadParameter, CDMember, CDResult, PermutationGenSet, Verdict
 from cdlat import DirectProductMeta, WreathMeta, named_group, parse_spec, spec_text
 from cdlat.cdlattice import SubgroupCD
 from cdlat.checks import CheckDef
+from cdlat.records import Record
 from cdlat.specparse import (
     CayleyAtom,
     CorpusAtom,
@@ -94,7 +98,19 @@ def _ids(case):
 
 
 def test_every_record_class_is_listed():
-    assert len(ALL) == len(MODULES) == 15
+    for info in pkgutil.iter_modules(cdlat.__path__):
+        if info.name != "__main__":  # which runs the CLI
+            importlib.import_module(f"cdlat.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found.update(subclasses)
+        todo += subclasses
+    # Verdict, the one mutable record, is no Record subclass
+    assert {cls for cls in found if cls.__module__.startswith("cdlat.")} | {Verdict} == set(
+        MODULES
+    )
+    assert len(ALL) == len(MODULES) and {cls for cls, _ in ALL} == set(MODULES)
 
 
 @pytest.mark.parametrize("case", ALL, ids=_ids)
