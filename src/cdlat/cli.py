@@ -46,7 +46,7 @@ _INVALID_ERRORS = (NotAGroup, BadParameter, UnknownFixture, OSError)
 
 
 def _count(text: str) -> int:
-    """argparse type of the cap flags: an int, zero or more."""
+    """Type of the cap flags, in both parsers: an int, zero or more."""
     try:
         value = int(text)
     except ValueError:
@@ -185,12 +185,10 @@ def _parse_fast(argv) -> argparse.Namespace | None:
     if len(given) > len(positionals):
         return None
     for k, (dest, default, _) in enumerate(positionals):
-        if k < len(given):
-            args[dest] = given[k]
-        elif default is None:
+        value = given[k] if k < len(given) else default
+        if value is None:  # a required positional is missing
             return None
-        else:
-            args[dest] = default
+        args[dest] = value
     return argparse.Namespace(**args)
 
 
