@@ -57,6 +57,7 @@ def _count(text: str) -> int:
 
 
 def _common_flags(max_order_help: str) -> dict:
+    """The flags of both commands, whose `--max-order` help differs."""
     return {
         "--json": ("json", str, None, "PATH", "write a JSON report here"),
         "--max-order": ("max_order", _count, None, "N", max_order_help),

@@ -28,8 +28,10 @@ FLAG_FORMS = tuple(
     form for flag in FLAGS for form in (flag, flag[:-2], f"{flag}=x", f"{flag}=3", f"{flag}=-3")
 )
 # values that argparse reads as values, and ones it reads as options
-PLAIN = ("0", "3", "007", "12", "1e3", "x", "D8", "S3 x D8", " D8 ", "all", "corpus", "sym-cd", "")
-VALUES = PLAIN + ("-3", "-", "--", "-h", "--help", "-C2 x C2")
+COUNTS = ("0", "3", "007", "12")
+PLAIN = COUNTS + ("1e3", "x", "D8", "S3 x D8", " D8 ", "all", "corpus", "sym-cd", "")
+DASHED = ("-3", "-", "--", "-h", "--help", "-x", "-C2 x C2")
+VALUES = PLAIN + DASHED
 HEADS = ("compute", "verify", "comp", "-h", "", "D8")
 
 # a command, positionals, flags each with at most one value, and at most
@@ -48,11 +50,12 @@ SHAPED = st.sampled_from(("compute", "verify")).flatmap(
             st.builds(
                 lambda flag, value: [flag, *value],
                 st.sampled_from(COMMAND_FLAGS[command]) | st.sampled_from(FLAGS),
-                st.sampled_from(PLAIN).map(lambda v: [v])
-                | st.sampled_from(VALUES).map(lambda v: [v])
+                st.sampled_from(COUNTS).map(lambda v: [v])
+                | st.sampled_from(PLAIN).map(lambda v: [v])
+                | st.sampled_from(DASHED).map(lambda v: [v])
                 | st.just([]),
             ),
-            max_size=4,
+            max_size=3,
         ),
         st.lists(st.sampled_from(PLAIN), max_size=1),
     )
@@ -74,7 +77,7 @@ def _argparse(argv):
             return exc.code
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(SHAPED | ANY)
 def test_fast_parser_agrees_with_argparse_whenever_it_accepts(argv):
     fast = cli._parse_fast(argv)
