@@ -115,6 +115,14 @@ def _subgroups(g: Group) -> tuple[Subgroup, ...]:
     return all_subgroups(g, max_order=_CAPS.get()[1])
 
 
+def _enumerated(g: Group) -> dict:
+    """The `subgroups_enumerated` stat of g, omitted past the enumeration
+    limit: the checks that report it read only CD(G) and centralizers."""
+    if _enumerable(g):
+        return {"subgroups_enumerated": len(_subgroups(g))}
+    return {}
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -163,8 +171,6 @@ def _check_cd_sublattice(g: Group):
 
 
 def _check_cd_subnormal(g: Group):
-    if not _enumerable(g):
-        return _skipped("group too large to enumerate")
     result = cd_lattice(g)
     for m in result.members:
         defect = subnormal_defect(g, m.subgroup)
@@ -174,7 +180,7 @@ def _check_cd_subnormal(g: Group):
             return _failed(
                 f"annotated defect {m.defect} != recomputed {defect}", [m.subgroup]
             )
-    return _passed(subgroups_enumerated=len(_subgroups(g)))
+    return _passed(**_enumerated(g))
 
 
 def _check_useful_prop(g: Group):
@@ -206,8 +212,6 @@ def _check_direct(g: Group, cl: bool):
     meta = g.product_meta
     if not isinstance(meta, DirectProductMeta):
         return _skipped("not a direct product")
-    if not _enumerable(g):
-        return _skipped("product too large to enumerate")
     mine, left, right = (
         [m.subgroup for m in cd_lattice(x).members if not cl or m.is_centrally_large]
         for x in (g, *meta.factors)
@@ -218,7 +222,7 @@ def _check_direct(g: Group, cl: bool):
         extra = [Subgroup(g, m) for m in sorted(got ^ want)[:3]]
         word = "CL" if cl else "CD"
         return _failed(f"{word} of product differs from product of {word}s", extra)
-    return _passed(subgroups_enumerated=len(_subgroups(g)), members=len(got))
+    return _passed(**_enumerated(g), members=len(got))
 
 
 def _check_wreath_base_centralizer(g: Group):
@@ -280,13 +284,11 @@ def _check_wreath_not_self(g: Group):
         return _failed(
             f"m_W(B) = {m_base} not above m_W(W) = {m_whole}", [base]
         )
-    stats = {"base_measure": str(m_base), "group_measure": str(m_whole)}
-    if _enumerable(g):
-        result = cd_lattice(g)
-        if ((1 << g.order) - 1) in result.member_masks():
-            return _failed("W is a member despite the measure gap", [])
-        stats["subgroups_enumerated"] = len(_subgroups(g))
-    return "passed", None, stats
+    if ((1 << g.order) - 1) in cd_lattice(g).member_masks():
+        return _failed("W is a member despite the measure gap", [])
+    return _passed(
+        base_measure=str(m_base), group_measure=str(m_whole), **_enumerated(g)
+    )
 
 
 def _check_wreath_self_c2(g: Group):
@@ -296,8 +298,6 @@ def _check_wreath_self_c2(g: Group):
     bottom = meta.bottom
     if meta.top_order != 2:
         return _skipped("top is not C2")
-    if not _enumerable(bottom) or not _enumerable(g):
-        return _skipped("group too large to enumerate")
     if center(bottom).order != 2:
         return _skipped("|Z(G)| != 2")
     bottom_full = (1 << bottom.order) - 1
@@ -315,7 +315,7 @@ def _check_wreath_self_c2(g: Group):
             "CD(B) member missing from CD(W)", [Subgroup(g, missing[0])]
         )
     return _passed(
-        subgroups_enumerated=len(_subgroups(g)),
+        **_enumerated(g),
         members=len(masks),
         base_members=len(base_cd.member_masks),
     )
@@ -334,8 +334,6 @@ def _check_wreath_cd_collapse(g: Group):
         return _skipped("bottom group has trivial center")
     if z <= 2 and p <= 2:
         return _skipped("needs |Z(G)| > 2 or p > 2")
-    if not _enumerable(g):
-        return _skipped("group too large to enumerate")
     result = cd_lattice(g)
     base = base_subgroup(g)
     base_cd = cd_of_subgroup(g, base)
@@ -343,9 +341,7 @@ def _check_wreath_cd_collapse(g: Group):
         return _failed("CD(W) differs from CD(B)", [base])
     if set(result.cl_masks()) != set(base_cd.cl_masks):
         return _failed("CL(W) differs from CL(B)", [base])
-    return _passed(
-        subgroups_enumerated=len(_subgroups(g)), members=len(result.members)
-    )
+    return _passed(**_enumerated(g), members=len(result.members))
 
 
 def _check_wreath_mmm(g: Group):
@@ -358,8 +354,6 @@ def _check_wreath_mmm(g: Group):
         return _skipped("bottom group has trivial center")
     if g.order == 8:
         return _skipped("W is the order-8 dihedral exception")
-    if not _enumerable(g):
-        return _skipped("group too large to enumerate")
     base_mask = base_subgroup(g).mask
     result = cd_lattice(g)
     for m in result.members:
@@ -368,11 +362,11 @@ def _check_wreath_mmm(g: Group):
             return _failed(
                 "member with neither U nor C_W(U) inside the base", [u]
             )
-    return _passed(subgroups_enumerated=len(_subgroups(g)))
+    return _passed(**_enumerated(g))
 
 
 def _check_d12_counterexample(g: Group):
-    if g.order != 12 or not _enumerable(g):
+    if g.order != 12:
         return _skipped("needs an order-12 group")
     if center(g).order != 2:
         return _skipped("needs |Z(G)| = 2")
@@ -397,7 +391,7 @@ def _check_d12_counterexample(g: Group):
     if m_u < u.order**2 or m_u <= m_w:
         return _failed(f"m_W(U) = {m_u} does not witness W out of CD(W)", [])
     return _passed(
-        subgroups_enumerated=len(_subgroups(g)),
+        **_enumerated(g),
         rotation_measure=str(m_r),
         group_measure=str(m_g),
         wreath_measure=str(m_w),
@@ -433,9 +427,7 @@ def _check_g32_nonnormal(g: Group):
     for m in result.members:
         if subnormal_defect(g, m.subgroup) is None:
             return _failed("member is not subnormal", [m.subgroup])
-    return _passed(
-        subgroups_enumerated=len(_subgroups(g)), members=len(result.members)
-    )
+    return _passed(**_enumerated(g), members=len(result.members))
 
 
 def _check_ut52_not_self(g: Group):
@@ -476,14 +468,10 @@ def _check_embed_2group(g: Group):
     result = cd_lattice(g)
     if ((1 << g.order) - 1) not in result.member_masks():
         return _failed("iterated wreath missing from its own lattice", [])
-    return _passed(
-        subgroups_enumerated=len(_subgroups(g)), members=len(result.members)
-    )
+    return _passed(**_enumerated(g), members=len(result.members))
 
 
 def _check_simple_cd(g: Group):
-    if not _enumerable(g):
-        return _skipped("group too large to enumerate")
     if g.order == 1:
         return _skipped("trivial group")
     full = full_subgroup(g)
@@ -496,7 +484,7 @@ def _check_simple_cd(g: Group):
     want = {center(g).mask, full_mask}
     if set(result.member_masks()) != want:
         return _failed("lattice of a simple group is not {Z(S), S}", [])
-    return _passed(subgroups_enumerated=len(_subgroups(g)))
+    return _passed(**_enumerated(g))
 
 
 def _check_sym_cd(g: Group):
@@ -506,9 +494,7 @@ def _check_sym_cd(g: Group):
     want = {1, (1 << g.order) - 1}
     if set(result.member_masks()) != want:
         return _failed("symmetric-group lattice is not {1, G}", [])
-    return _passed(
-        subgroups_enumerated=len(_subgroups(g)), max_measure=str(result.max_measure)
-    )
+    return _passed(**_enumerated(g), max_measure=str(result.max_measure))
 
 
 def _check_measure_lemmas(g: Group):

@@ -324,6 +324,24 @@ MUTANTS = (
         "if value is None:",
         ("tests/test_cli_parse.py",),
     ),
+    # the checks' subgroups_enumerated stat: taken within the enumeration
+    # limit only, and never dropped there
+    Mutant(
+        "enumerated-stat-past-limit",
+        "src/cdlat/checks.py",
+        "    if _enumerable(g):\n"
+        '        return {"subgroups_enumerated": len(_subgroups(g))}\n'
+        "    return {}\n",
+        '    return {"subgroups_enumerated": len(_subgroups(g))}\n',
+        ("tests/test_checks.py",),
+    ),
+    Mutant(
+        "enumerated-stat-dropped",
+        "src/cdlat/checks.py",
+        'return {"subgroups_enumerated": len(_subgroups(g))}',
+        "return {}",
+        ("tests/test_checks.py", "tests/test_report_cli.py"),
+    ),
     # the record classes: Verdict defaults and type-sensitive equality
     Mutant(
         "verdict-shared-stats",

@@ -2,8 +2,9 @@
 
 import pytest
 
-from cdlat import check_ids, default_pairs, run_check, subgroups
+from cdlat import check_ids, checks, default_pairs, run_check, run_pairs, subgroups
 from cdlat.checks import CHECKS, CHECKS_BY_ID, CheckDef
+from cdlat.groups import DEFAULT_ORDER_CAP
 from cdlat.specparse import evaluate
 
 from bruteforce import fresh_group
@@ -68,15 +69,44 @@ def test_each_check_passes_on_its_example(check_id, spec):
     assert v.elapsed >= 0.0
 
 
-@pytest.mark.parametrize("spec", ["D8 wr C3", "Q8 wr C3", "C3 wr C5"])
-@pytest.mark.parametrize("check_id", ["wreath-base-centralizer", "wreath-center"])
-def test_wreath_centralizer_checks_pass_past_the_enumeration_limit(check_id, spec):
-    # these checks read element centralizers alone, so they run on wreaths
-    # too large to enumerate, which the default corpus leaves out
+# (checks, specs) past the enumeration limit, none in the default corpus
+_PAST_LIMIT = (
+    (
+        ("wreath-cd-collapse", "wreath-mmm", "wreath-not-self", "cd-subnormal"),
+        ("D8 wr C3", "Q8 wr C3"),
+    ),
+    (("direct-cd", "direct-cl"), ("A5 x D12", "S5 x D8")),
+    (("wreath-cd-collapse", "wreath-mmm"), ("C2 wr C7",)),
+    (("cd-subnormal",), ("S6", "S4 wr C2", "corpus:ut52")),
+    (("wreath-base-centralizer", "wreath-center"), ("D8 wr C3", "Q8 wr C3", "C3 wr C5")),
+)
+
+
+@pytest.mark.parametrize(
+    "check_id, spec", [(c, s) for cs, ss in _PAST_LIMIT for s in ss for c in cs]
+)
+def test_each_check_passes_past_the_enumeration_limit(check_id, spec):
+    # checks that read only CD(G) and centralizers run at any order under
+    # the order cap, and omit the stat they cannot take there
     assert (check_id, spec) not in default_pairs()
+    assert evaluate(spec).order > 512
     v = run_check(check_id, spec)
     assert v.status == "passed", (v.witness, v.stats)
-    assert evaluate(spec).order > 512
+    assert "subgroups_enumerated" not in v.stats
+
+
+def test_ungated_checks_read_no_enumeration(monkeypatch):
+    # with an enumeration limit of 0 no group is enumerable; every check
+    # but the three that quantify over all subgroups keeps its verdict
+    gated = {"cd-sublattice", "useful-prop", "measure-lemmas"}
+    pairs = [(cid, spec) for cid, spec in default_pairs() if cid not in gated]
+    full = run_pairs(pairs)
+    monkeypatch.setattr(checks, "resolve_caps", lambda max_order: (DEFAULT_ORDER_CAP, 0))
+    bare = run_pairs(pairs)
+    assert any("subgroups_enumerated" in v.stats for v in full)
+    for a, b in zip(full, bare, strict=True):
+        stats = {k: x for k, x in a.stats.items() if k != "subgroups_enumerated"}
+        assert (b.status, b.witness, b.stats) == (a.status, a.witness, stats), b
 
 
 @pytest.mark.parametrize(
@@ -94,17 +124,14 @@ def test_wreath_centralizer_checks_pass_past_the_enumeration_limit(check_id, spe
         ("simple-cd", "S4", "not simple"),
         ("simple-cd", "C1", "trivial"),
         ("sym-cd", "S3", "S4 or S5"),
+        # the enumeration limit (order 512) of the three checks that
+        # quantify over every subgroup
         ("cd-sublattice", "corpus:ut52", "too large"),
-        # the enumeration limit (order 512) of the other gated checks
-        ("cd-subnormal", "S6", "too large"),
         ("useful-prop", "S6", "too large"),
-        ("simple-cd", "S6", "too large"),
         ("measure-lemmas", "S6", "too large"),
-        ("direct-cd", "A5 x D12", "product too large"),
-        ("direct-cl", "A5 x D12", "product too large"),
-        ("wreath-self-c2", "S4 wr C2", "too large"),
-        ("wreath-cd-collapse", "C2 wr C7", "too large"),
-        ("wreath-mmm", "C2 wr C7", "too large"),
+        # past the limit, the other checks reach their own hypotheses
+        ("simple-cd", "S6", "not simple"),
+        ("wreath-self-c2", "S4 wr C2", "|Z(G)| != 2"),
         # a composite top order runs _is_prime's trial-division loop
         ("wreath-cd-collapse", "C2 wr C4", "not prime"),
         ("wreath-mmm", "C2 wr C4", "not prime"),

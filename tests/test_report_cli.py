@@ -484,6 +484,18 @@ def test_cli_verify_max_order_caps_groups_a_check_builds(capsys):
     assert "> cap 30" in capsys.readouterr().err
 
 
+def test_cli_verify_runs_a_cd_only_check_past_the_enumeration_limit(tmp_path, capsys):
+    # D8 wr C3 has order 1536; CD(W) = CD(B) has 125 members
+    out = tmp_path / "v.json"
+    assert main(["verify", "wreath-cd-collapse", "D8 wr C3", "--json", str(out)]) == 0
+    assert "PASS  wreath-cd-collapse  [D8 wr C3]" in capsys.readouterr().out
+    assert json.loads(out.read_text())["verdicts"][0]["stats"] == {"members": 125}
+    # cd-sublattice quantifies over every subgroup and keeps its gate
+    assert main(["verify", "cd-sublattice", "D8 wr C3", "--json", str(out)]) == 0
+    assert "SKIP  cd-sublattice  [D8 wr C3]" in capsys.readouterr().out
+    assert "too large" in json.loads(out.read_text())["verdicts"][0]["stats"]["skip_reason"]
+
+
 def test_cli_max_subgroups_counts_the_replayed_subgroups(capsys):
     # CD(D12 wr C2) is one subgroup of order 36, found after 21 of the
     # 1336 subgroups of the wreath
