@@ -305,8 +305,9 @@ def _cmd_verify(args) -> int:
     tags = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}
     for v in verdicts:
         line = f"{tags[v.status]}  {v.check_id}  [{v.group_spec}]"
-        if v.status == "failed" and v.witness:
-            line += f"  -- {v.witness['note']}"
+        note = v.witness["note"] if v.witness else v.stats.get("skip_reason")
+        if note:
+            line += f"  -- {note}"
         print(line)
     s = report["summary"]
     print(

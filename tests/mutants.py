@@ -161,6 +161,14 @@ MUTANTS = (
         "bits_of(lattice.above[i])[:-1]",
         ("tests/test_checks.py",),
     ),
+    # the join of H and K is the least member above both, not above H alone
+    Mutant(
+        "cd-sublattice-join-wrong-pair",
+        "src/cdlat/checks.py",
+        "both = up[i] & up[j]",
+        "both = up[i]",
+        ("tests/test_checks.py",),
+    ),
     # the centralizers in S are all intersections of element centralizers
     Mutant(
         "centralizers-skip-last",

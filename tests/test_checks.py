@@ -78,6 +78,7 @@ _PAST_LIMIT = (
     (("direct-cd", "direct-cl"), ("A5 x D12", "S5 x D8")),
     (("wreath-cd-collapse", "wreath-mmm"), ("C2 wr C7",)),
     (("cd-subnormal",), ("S6", "S4 wr C2", "corpus:ut52")),
+    (("cd-sublattice",), ("D8 wr C3", "Q8 wr C3", "corpus:ut52", "S5 x D8")),
 )
 
 
@@ -108,8 +109,8 @@ def test_wreath_centralizer_checks_pass_past_the_enumeration_limit(check_id, spe
 
 def test_ungated_checks_read_no_enumeration(monkeypatch):
     # with an enumeration limit of 0 no group is enumerable; every check
-    # but the three that quantify over all subgroups keeps its verdict
-    gated = {"cd-sublattice", "useful-prop", "measure-lemmas"}
+    # but the two that quantify over all subgroups keeps its verdict
+    gated = {"useful-prop", "measure-lemmas"}
     pairs = [(cid, spec) for cid, spec in default_pairs() if cid not in gated]
     full = run_pairs(pairs)
     monkeypatch.setattr(checks, "resolve_caps", lambda max_order: (DEFAULT_ORDER_CAP, 0))
@@ -135,9 +136,8 @@ def test_ungated_checks_read_no_enumeration(monkeypatch):
         ("simple-cd", "S4", "not simple"),
         ("simple-cd", "C1", "trivial"),
         ("sym-cd", "S3", "S4 or S5"),
-        # the enumeration limit (order 512) of the three checks that
+        # the enumeration limit (order 512) of the two checks that
         # quantify over every subgroup
-        ("cd-sublattice", "corpus:ut52", "too large"),
         ("useful-prop", "S6", "too large"),
         ("measure-lemmas", "S6", "too large"),
         # past the limit, the other checks reach their own hypotheses
@@ -221,9 +221,9 @@ def test_default_pairs_cover_all_checks():
 
 
 def test_cd_sublattice_never_searches_inside_a_proper_subgroup(monkeypatch):
-    # CD(C6 wr C2) = CD(B) lies in the base B; the check enumerates the
-    # wreath and reads the lattice off the centralizers, so its only
-    # discovery search runs over the whole group
+    # CD(C6 wr C2) = CD(B) lies in the base B; the check reads the lattice
+    # off the centralizers and enumerates only for its subgroups_enumerated
+    # stat, so its only discovery search runs over the whole group
     within_seen = []
     discover = subgroups._discover
 
@@ -307,6 +307,56 @@ def test_cd_sublattice_fails_on_a_wrong_product_set(monkeypatch):
     assert v.status == "failed"
     assert v.witness["note"] == "literal product set HK differs from join"
     assert len(v.witness["subgroups"]) == 2
+
+
+@pytest.mark.parametrize(
+    "spec, notes",
+    [
+        (
+            "corpus:g32",
+            {
+                "passed": 6,
+                "member intersection escapes the lattice": 4,
+                "member join escapes the lattice": 3,
+                "centralizer of a member is not a member": 2,
+            },
+        ),
+        (
+            "D8 wr C2",
+            {
+                "centralizer of a member is not a member": 6,
+                "member intersection escapes the lattice": 7,
+                "member join escapes the lattice": 14,
+            },
+        ),
+    ],
+)
+def test_cd_sublattice_fails_on_each_member_dropped(monkeypatch, spec, notes):
+    # a lattice missing one member loses a centralizer, a meet or a join
+    # of the others, unless the member is none of these (then the rest is
+    # still a sublattice); the counts are those of an independent reading
+    # of joins and centralizers off the whole subgroup lattice
+    from collections import Counter
+    from types import SimpleNamespace
+
+    from cdlat import cd_lattice
+
+    g = fresh_group(spec)
+    members = cd_lattice(g).members
+    n = len(members) - 1
+    seen = Counter()
+    for drop in range(len(members)):
+        kept = members[:drop] + members[drop + 1 :]
+        lattice = SimpleNamespace(members=kept)
+        monkeypatch.setattr(checks, "cd_lattice", lambda g, lattice=lattice: lattice)
+        v = run_check("cd-sublattice", g)
+        if v.status == "passed":
+            assert v.stats["pairs_checked"] == n * (n - 1) // 2
+            seen["passed"] += 1
+        else:
+            assert v.status == "failed" and len(v.witness["subgroups"]) == 2
+            seen[v.witness["note"]] += 1
+    assert seen == Counter(notes)
 
 
 def test_useful_prop_reaches_every_subgroup_above_u_and_its_centralizer(monkeypatch):

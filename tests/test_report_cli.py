@@ -473,9 +473,12 @@ def test_cli_verify_max_order_caps_the_corpus(capsys):
 
 
 def test_cli_verify_max_order_reaches_the_enumeration_limit(capsys):
-    # C625 is past the default enumeration limit of 512
-    assert main(["verify", "cd-sublattice", "C625", "--max-order", "1000"]) == 0
-    assert "PASS  cd-sublattice  [C625]" in capsys.readouterr().out
+    # C625 is past the default enumeration limit of 512, which gates the
+    # checks that quantify over every subgroup
+    assert main(["verify", "measure-lemmas", "C625"]) == 0
+    assert "SKIP  measure-lemmas  [C625]" in capsys.readouterr().out
+    assert main(["verify", "measure-lemmas", "C625", "--max-order", "1000"]) == 0
+    assert "PASS  measure-lemmas  [C625]" in capsys.readouterr().out
 
 
 def test_cli_verify_max_order_caps_groups_a_check_builds(capsys):
@@ -490,9 +493,15 @@ def test_cli_verify_runs_a_cd_only_check_past_the_enumeration_limit(tmp_path, ca
     assert main(["verify", "wreath-cd-collapse", "D8 wr C3", "--json", str(out)]) == 0
     assert "PASS  wreath-cd-collapse  [D8 wr C3]" in capsys.readouterr().out
     assert json.loads(out.read_text())["verdicts"][0]["stats"] == {"members": 125}
-    # cd-sublattice quantifies over every subgroup and keeps its gate
+    # cd-sublattice reads member up-sets and product sets: 125 * 124 / 2 pairs
     assert main(["verify", "cd-sublattice", "D8 wr C3", "--json", str(out)]) == 0
-    assert "SKIP  cd-sublattice  [D8 wr C3]" in capsys.readouterr().out
+    assert "PASS  cd-sublattice  [D8 wr C3]" in capsys.readouterr().out
+    assert json.loads(out.read_text())["verdicts"][0]["stats"] == {"pairs_checked": 7750}
+    # measure-lemmas quantifies over every subgroup and keeps its gate; a
+    # SKIP line names its reason as a FAIL line names its note
+    assert main(["verify", "measure-lemmas", "D8 wr C3", "--json", str(out)]) == 0
+    skip = "SKIP  measure-lemmas  [D8 wr C3]  -- group too large to enumerate"
+    assert skip in capsys.readouterr().out.splitlines()
     assert "too large" in json.loads(out.read_text())["verdicts"][0]["stats"]["skip_reason"]
 
 

@@ -450,7 +450,7 @@ def test_a_verify_pass_builds_each_lattice_index_once(monkeypatch):
     monkeypatch.setattr(subgroups, "LatticeIndex", spy)
     pairs = default_pairs()
     cold = run_pairs(pairs)
-    readers = {"cd-sublattice", "measure-lemmas", "useful-prop"}
+    readers = {"measure-lemmas", "useful-prop"}
     specs = {v.group_spec for v in cold if v.check_id in readers and v.status == "passed"}
     assert len(built) == len({id(g) for g in built}) == len(specs)
     built.clear()
