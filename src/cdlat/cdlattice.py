@@ -138,18 +138,29 @@ def cd_lattice(g: Group) -> CDResult:
                 centralizer_index=mask_index[cent],
             )
         )
-    edges = _hasse_edges(list(mask_index))
+    above = _above(list(mask_index))
+    edges = _hasse_edges(above)
     result = CDResult(
         group=g, max_measure=best, members=tuple(members), hasse_edges=edges
     )
+    g._cache["cd_above"] = above
     g._cache["cd_result"] = result
     return result
 
 
-def _hasse_edges(masks: list[int]) -> tuple[tuple[int, int], ...]:
-    # transitive reduction on up-set bitsets (Aho, Garey & Ullman 1972):
-    # j covers i when no k strictly above i lies strictly below j
-    above = _above(masks)
+def _member_above(g: Group, result: CDResult) -> list[int]:
+    """`_above` of the member masks of result: the up-sets cd_lattice
+    formed for its Hasse edges when result is the lattice it keeps on g,
+    else formed here, for a lattice built by hand."""
+    if g._cache.get("cd_result") is result:
+        return g._cache["cd_above"]
+    return _above([m.subgroup.mask for m in result.members])
+
+
+def _hasse_edges(above: list[int]) -> tuple[tuple[int, int], ...]:
+    # transitive reduction on the up-set bitsets `_above` gives (Aho,
+    # Garey & Ullman 1972): j covers i when no k strictly above i lies
+    # strictly below j
     edges = []
     for i, up in enumerate(above):
         covers = up
@@ -216,8 +227,8 @@ def lattice_isomorphic(a: CDResult, b: CDResult) -> bool:
         )
     if len(a.members) != len(b.members):
         return False
-    up_a = _above(a.member_masks())
-    up_b = _above(b.member_masks())
+    up_a = _member_above(a.group, a)
+    up_b = _member_above(b.group, b)
     sig_a = _signatures(up_a)
     sig_b = _signatures(up_b)
     if sorted(sig_a) != sorted(sig_b):

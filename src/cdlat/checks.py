@@ -12,7 +12,7 @@ from contextvars import ContextVar
 from functools import partial
 from typing import Callable
 
-from .cdlattice import _above, cd_lattice, cd_of_subgroup, measure
+from .cdlattice import _member_above, cd_lattice, cd_of_subgroup, measure
 from .corpus import (
     ENUMERABLE_WREATH_SPECS,
     G32_GENS,
@@ -45,7 +45,7 @@ from .subgroups import (
     lattice_index,
     normal_closure,
     normalizer,
-    product_set_mask,
+    product_mask,
     resolve_caps,
     subnormal_defect,
 )
@@ -140,13 +140,15 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_cd_sublattice(g: Group):
-    members = [m.subgroup for m in cd_lattice(g).members]
+    result = cd_lattice(g)
+    members = [m.subgroup for m in result.members]
     masks = [h.mask for h in members]
     at = {mask: i for i, mask in enumerate(masks)}
     cents = [centralizer(g, h) for h in members]
+    elems = [h.elements() for h in members]
     # members are in canonical order, so the least member above H and K
     # is the lowest set bit of their reflexive up-sets
-    up = [above | 1 << i for i, above in enumerate(_above(masks))]
+    up = [above | 1 << i for i, above in enumerate(_member_above(g, result))]
     for i, (h, cent) in enumerate(zip(members, cents)):
         if cent.mask not in at:
             return _failed("centralizer of a member is not a member", [h, cent])
@@ -158,7 +160,7 @@ def _check_cd_sublattice(g: Group):
             # HK <= <H, K> <= M = HK makes M the join, and a member
             both = up[i] & up[j]
             least = masks[(both & -both).bit_length() - 1] if both else None
-            if product_set_mask(g, h, k) == least:
+            if product_mask(g, elems[i], elems[j]) == least:
                 continue
             join = join_subgroups(h, k)
             if join.mask not in at:
@@ -475,10 +477,18 @@ def _check_simple_cd(g: Group):
         return _skipped("trivial group")
     full = full_subgroup(g)
     full_mask = full.mask
+    table, inv = g.table, g._inv
+    # conjugates have one normal closure, and <x> = G needs none
+    done = 1
     for x in range(1, g.order):
-        ncl = normal_closure(full, closure(g, [x]))
-        if ncl.mask != full_mask:
+        if done >> x & 1:
+            continue
+        cyclic = closure(g, [x])
+        if cyclic.mask != full_mask and normal_closure(full, cyclic).mask != full_mask:
             return _skipped("group is not simple")
+        row_x = table[x]
+        for a in range(g.order):
+            done |= 1 << table[inv[a]][row_x[a]]
     result = cd_lattice(g)
     want = {center(g).mask, full_mask}
     if set(result.member_masks()) != want:
@@ -501,7 +511,6 @@ def _check_measure_lemmas(g: Group):
         return _skipped("group too large to enumerate")
     subs = _subgroups(g)
     lattice = lattice_index(subs)
-    # per subgroup index: mask, order, index of C(H) and m(H)
     masks = [h.mask for h in subs]
     orders = [h.order for h in subs]
     index, cent = lattice.index, lattice.cent
@@ -511,27 +520,31 @@ def _check_measure_lemmas(g: Group):
             return _failed("m(H) exceeds m(C(H))", [subs[i], subs[c]])
         if meas[i] == meas[c] and cent[c] != i:
             return _failed("equal measures but H != C(C(H))", [subs[i], subs[c]])
-    join_of = lattice.join
     n = len(subs)
-    for i in range(n):
-        h_mask, h_order, h_meas = masks[i], orders[i], meas[i]
-        ch_mask, ch_order = masks[cent[i]], orders[cent[i]]
-        for j in range(i, n):
-            inter = index[h_mask & masks[j]]
-            join = join_of(i, j)
-            lhs = h_meas * meas[j]
-            rhs = meas[join] * meas[inter]
+    corders = [orders[c] for c in cent]
+    # (|H|, m(H), |C(H)|) by position, read for each meet and join
+    info = list(zip(orders, meas, corders))
+    # with subs[j] at bit n - 1 - j of an up-set, the join, the least
+    # subgroup above both, is the highest common bit: its bit_length b
+    # reads top[b] = info[n - b], and no -both is formed for a lowest bit
+    top = [None, *reversed(info)]
+    ups = [int(format(up, f"0{n}b")[::-1], 2) for up in lattice.above]
+    rows = list(zip(masks, ups, orders, meas, [masks[c] for c in cent], corders))
+    for i, (h_mask, h_up, h_order, h_meas, ch_mask, ch_order) in enumerate(rows):
+        for k_mask, k_up, k_order, k_meas, ck_mask, ck_order in rows[i:]:
+            i_order, i_meas, i_corder = info[index[h_mask & k_mask]]
+            j_order, j_meas, _ = top[(h_up & k_up).bit_length()]
+            lhs = h_meas * k_meas
+            rhs = j_meas * i_meas
             if lhs > rhs:
-                return _failed("submultiplicativity fails", [subs[i], subs[j]])
+                return _failed("submultiplicativity fails", [subs[i], subs[index[k_mask]]])
             # equality holds exactly when HK is the join and C(H)C(K) is
             # C(H meet K); |C(H)C(K)| is formed only in the first case
             conds = False
-            if h_order * orders[j] // orders[inter] == orders[join]:
-                ck = cent[j]
-                cc_order = ch_order * orders[ck] // (ch_mask & masks[ck]).bit_count()
-                conds = cc_order == orders[cent[inter]]
+            if h_order * k_order // i_order == j_order:
+                conds = ch_order * ck_order // (ch_mask & ck_mask).bit_count() == i_corder
             if (lhs == rhs) != conds:
-                return _failed("equality condition mismatch", [subs[i], subs[j]])
+                return _failed("equality condition mismatch", [subs[i], subs[index[k_mask]]])
     return _passed(subgroups_enumerated=n, pairs_checked=n * (n + 1) // 2)
 
 
@@ -673,10 +686,12 @@ def check_ids() -> tuple[str, ...]:
 
 def run_check(
     check_id: str,
-    spec: str | GroupSpec | Group,
+    spec: str | GroupSpec | Group | tuple[str, Group],
     max_order: int | None = None,
 ) -> Verdict:
-    """Run one named check against one group spec.
+    """Run one named check against one group spec: a spec string or node,
+    a group (reported by its name), or the (spec text, group) pair that
+    run_pairs resolves once per spec under the same caps.
 
     `max_order` caps the order of every group the check builds and its
     enumeration, as `compute --max-order` does; None keeps the default
@@ -687,13 +702,7 @@ def run_check(
         known = ", ".join(check_ids())
         raise KeyError(f"unknown check {check_id!r} (known: {known})")
     caps = resolve_caps(max_order)
-    if isinstance(spec, Group):
-        group = spec
-        text = spec.name
-    else:
-        node = parse_spec(spec) if isinstance(spec, str) else spec
-        text = spec_text(node)
-        group = evaluate(node, max_order=caps[0])
+    text, group = spec if isinstance(spec, tuple) else _resolve(spec, caps[0])
     token = _CAPS.set(caps)
     start = time.perf_counter()
     try:
@@ -713,6 +722,14 @@ def run_check(
     )
 
 
+def _resolve(spec: str | GroupSpec | Group, order_cap: int) -> tuple[str, Group]:
+    """The text a verdict reports for spec, and its group."""
+    if isinstance(spec, Group):
+        return spec.name, spec
+    node = parse_spec(spec) if isinstance(spec, str) else spec
+    return spec_text(node), evaluate(node, max_order=order_cap)
+
+
 def default_pairs(check_id: str | None = None) -> list[tuple[str, str]]:
     """(check_id, spec) pairs for the default corpus run."""
     pairs = []
@@ -726,13 +743,15 @@ def default_pairs(check_id: str | None = None) -> list[tuple[str, str]]:
 
 def run_pairs(pairs, max_order: int | None = None) -> list[Verdict]:
     """Run (check_id, spec) pairs in order under the caps of `max_order`,
-    parsing each distinct spec text once, when its first pair runs."""
-    nodes: dict[str, GroupSpec] = {}
+    parsing and evaluating each distinct spec text once, when its first
+    pair runs, so a bad spec raises at that pair."""
+    order_cap = resolve_caps(max_order)[0]
+    resolved: dict[str, tuple[str, Group]] = {}
     verdicts = []
     for cid, spec in pairs:
         if isinstance(spec, str):
-            if spec not in nodes:
-                nodes[spec] = parse_spec(spec)
-            spec = nodes[spec]
+            if spec not in resolved:
+                resolved[spec] = _resolve(spec, order_cap)
+            spec = resolved[spec]
         verdicts.append(run_check(cid, spec, max_order))
     return verdicts

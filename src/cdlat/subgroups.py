@@ -237,14 +237,19 @@ def lattice_index(subs: Sequence[Subgroup]) -> LatticeIndex:
 
 
 def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:
-    """Bitmask of the literal product set HK = {h*k}, built as the union
-    of the right cosets H*b over b in K.  A b already in the union lies in
-    some coset H*b' filled before, so H*b = H*b' and b is skipped: |K|
-    membership tests and |HK| products instead of |H|*|K| products."""
+    """Bitmask of the literal product set HK = {h*k}."""
+    return product_mask(g, h.elements(), k.elements())
+
+
+def product_mask(g: Group, left: Sequence[int], right: Sequence[int]) -> int:
+    """Bitmask of the product set HK, from the element lists `left` of a
+    subgroup H and `right` of K, built as the union of the right cosets
+    H*b over b in K.  A b already in the union lies in some coset H*b'
+    filled before, so H*b = H*b' and b is skipped: |K| membership tests
+    and |HK| products instead of |H|*|K| products."""
     table, bit = g.table, _shift_table(g)
-    left = h.elements()
     mask = 0
-    for b in k.elements():
+    for b in right:
         if not mask & bit[b]:
             for a in left:
                 mask |= bit[table[a][b]]

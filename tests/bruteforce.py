@@ -12,8 +12,10 @@ from itertools import combinations, permutations, repeat
 from operator import itemgetter
 
 from cdlat import Group, NotAGroup
+from cdlat.checks import _enumerable, _failed, _passed, _skipped, _subgroups
 from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
 from cdlat.groups import check_axioms, from_cayley
+from cdlat.subgroups import centralizer, join_subgroups, lattice_index, product_set_mask
 
 # every group the oracles are compared on: the universal corpus, the
 # order-32 fixture and the wreath products small enough to enumerate
@@ -409,3 +411,76 @@ def brute_lexmin_generators(g: Group, mask: int, joins: dict | None = None) -> t
     while (found := search(1, (), 0, length)) is None:
         length += 1
     return found
+
+
+# ---------------------------------------------------------------------------
+# The two pairwise checks in their per-pair form: the verdicts, witnesses
+# and stats that `checks` must give from its row walk and element lists
+
+
+def brute_measure_lemmas(g: Group) -> tuple[str, dict | None, dict]:
+    """measure-lemmas over positions in the enumerated subgroups, reading
+    each meet from the mask index and each join with `LatticeIndex.join`."""
+    if not _enumerable(g):
+        return _skipped("group too large to enumerate")
+    subs = _subgroups(g)
+    lattice = lattice_index(subs)
+    masks = [h.mask for h in subs]
+    orders = [h.order for h in subs]
+    index, cent = lattice.index, lattice.cent
+    meas = [o * orders[c] for o, c in zip(orders, cent)]
+    for i, c in enumerate(cent):
+        if meas[i] > meas[c]:
+            return _failed("m(H) exceeds m(C(H))", [subs[i], subs[c]])
+        if meas[i] == meas[c] and cent[c] != i:
+            return _failed("equal measures but H != C(C(H))", [subs[i], subs[c]])
+    n = len(subs)
+    for i in range(n):
+        for j in range(i, n):
+            inter = index[masks[i] & masks[j]]
+            join = lattice.join(i, j)
+            lhs = meas[i] * meas[j]
+            rhs = meas[join] * meas[inter]
+            if lhs > rhs:
+                return _failed("submultiplicativity fails", [subs[i], subs[j]])
+            conds = False
+            if orders[i] * orders[j] // orders[inter] == orders[join]:
+                ci, cj = cent[i], cent[j]
+                cc_order = orders[ci] * orders[cj] // (masks[ci] & masks[cj]).bit_count()
+                conds = cc_order == orders[cent[inter]]
+            if (lhs == rhs) != conds:
+                return _failed("equality condition mismatch", [subs[i], subs[j]])
+    return _passed(subgroups_enumerated=n, pairs_checked=n * (n + 1) // 2)
+
+
+def brute_cd_sublattice(g: Group, members) -> tuple[str, dict | None, dict]:
+    """cd-sublattice on the given CD members, with up-sets from a
+    containment test per pair and each product set from the two subgroups
+    (`product_set_mask`)."""
+    subs = [m.subgroup for m in members]
+    masks = [h.mask for h in subs]
+    at = {mask: i for i, mask in enumerate(masks)}
+    cents = [centralizer(g, h) for h in subs]
+    up = [sum(1 << j for j, k in enumerate(masks) if h & ~k == 0) for h in masks]
+    for i, (h, cent) in enumerate(zip(subs, cents)):
+        if cent.mask not in at:
+            return _failed("centralizer of a member is not a member", [h, cent])
+        if cents[at[cent.mask]].mask != h.mask:
+            return _failed("double centralizer differs from the member", [h, cent])
+        for j in range(i + 1, len(subs)):
+            k = subs[j]
+            if h.mask & k.mask not in at:
+                return _failed("member intersection escapes the lattice", [h, k])
+            both = up[i] & up[j]
+            least = masks[(both & -both).bit_length() - 1] if both else None
+            if product_set_mask(g, h, k) == least:
+                continue
+            join = join_subgroups(h, k)
+            if join.mask not in at:
+                return _failed("member join escapes the lattice", [h, k])
+            if h.order * k.order // (h.mask & k.mask).bit_count() != join.order:
+                return _failed("product set HK is smaller than the join", [h, k])
+            return _failed("literal product set HK differs from join", [h, k])
+    n = len(subs)
+    stats = {"subgroups_enumerated": len(_subgroups(g))} if _enumerable(g) else {}
+    return _passed(**stats, pairs_checked=n * (n - 1) // 2)

@@ -137,7 +137,8 @@ MUTANTS = (
         "mask |= bit[table[b][a]]",
         ("tests/test_subgroups.py",),
     ),
-    # the join is the lowest subgroup above both, not the highest (G)
+    # the join is the lowest subgroup above both, not the highest (G);
+    # useful-prop reads it
     Mutant(
         "measure-lemmas-join-index",
         _SUBGROUPS,
@@ -167,6 +168,23 @@ MUTANTS = (
         "src/cdlat/checks.py",
         "both = up[i] & up[j]",
         "both = up[i]",
+        ("tests/test_checks.py",),
+    ),
+    # measure-lemmas' up-sets hold subs[j] at bit n - 1 - j, so the join
+    # is their highest common bit; the lowest is G
+    Mutant(
+        "measure-lemmas-join-wrong-end",
+        "src/cdlat/checks.py",
+        "top[(h_up & k_up).bit_length()]",
+        "top[(h_up & k_up & -(h_up & k_up)).bit_length()]",
+        ("tests/test_checks.py",),
+    ),
+    # HK is formed from the element lists of both members
+    Mutant(
+        "cd-sublattice-product-one-side",
+        "src/cdlat/checks.py",
+        "product_mask(g, elems[i], elems[j])",
+        "product_mask(g, elems[i], elems[i])",
         ("tests/test_checks.py",),
     ),
     # the centralizers in S are all intersections of element centralizers

@@ -22,7 +22,7 @@ from cdlat import (
     named_group,
     trivial_subgroup,
 )
-from cdlat.cdlattice import CDMember, CDResult, _hasse_edges
+from cdlat.cdlattice import CDMember, CDResult, _above, _hasse_edges
 from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
 from cdlat.specparse import evaluate
 from cdlat.report import build_report, report_json
@@ -250,7 +250,7 @@ def test_hasse_edges_match_brute_force():
     # CD(D8)^4 as masks on four blocks of 8 bits: 625 members, 3000 covers
     d8 = cd_lattice(named_group("D", 8)).member_masks()
     family = [a | b << 8 | c << 16 | d << 24 for a, b, c, d in product(d8, repeat=4)]
-    edges = _hasse_edges(family)
+    edges = _hasse_edges(_above(family))
     assert len(family) == 625 and len(edges) == 3000
     assert edges == brute_hasse_edges(family)
 

@@ -2,12 +2,12 @@
 
 import pytest
 
-from cdlat import check_ids, checks, default_pairs, run_check, run_pairs, subgroups
+from cdlat import cd_lattice, check_ids, checks, default_pairs, run_check, run_pairs, subgroups
 from cdlat.checks import CHECKS, CHECKS_BY_ID, CheckDef
 from cdlat.groups import DEFAULT_ORDER_CAP
 from cdlat.specparse import evaluate
 
-from bruteforce import fresh_group
+from bruteforce import brute_cd_sublattice, brute_measure_lemmas, fresh_group
 
 
 def test_registry_ids_are_stable():
@@ -248,8 +248,10 @@ def test_measure_lemmas_fails_on_a_wrong_centralizer(monkeypatch):
         return true_centralizer(g, h)
 
     monkeypatch.setattr(subgroups, "centralizer", wrong)
-    v = run_check("measure-lemmas", fresh_group("D8"))
+    g = fresh_group("D8")
+    v = run_check("measure-lemmas", g)
     assert v.status == "failed"
+    assert (v.status, v.witness, v.stats) == brute_measure_lemmas(g)
     assert v.witness["note"] in {
         "m(H) exceeds m(C(H))",
         "equal measures but H != C(C(H))",
@@ -273,36 +275,59 @@ def test_ut52_check_fails_on_a_non_abelian_block(monkeypatch):
     assert v.witness["note"] == "block subgroup is not abelian"
 
 
-def test_run_pairs_parses_each_spec_once_in_order(monkeypatch):
-    from cdlat import ParseError, checks, run_pairs
+@pytest.mark.parametrize(
+    "check_id, brute",
+    [
+        ("measure-lemmas", brute_measure_lemmas),
+        ("cd-sublattice", lambda g: brute_cd_sublattice(g, cd_lattice(g).members)),
+    ],
+)
+def test_pair_checks_match_their_per_pair_form(check_id, brute):
+    # the row walk of measure-lemmas and the element lists of cd-sublattice
+    # give the verdicts, witnesses and stats of the per-pair forms
+    for _, spec in default_pairs(check_id):
+        g = evaluate(spec)
+        assert CHECKS_BY_ID[check_id].fn(g) == brute(g), spec
 
-    parsed = []
-    parse = checks.parse_spec
+
+def test_run_pairs_parses_each_spec_once_in_order(monkeypatch):
+    from cdlat import ParseError, checks, run_pairs, spec_text
+
+    parsed, evaluated = [], []
+    parse, build = checks.parse_spec, checks.evaluate
 
     def spy(text):
         parsed.append(text)
         return parse(text)
 
+    def evaluate_spy(node, **caps):
+        evaluated.append(spec_text(node))
+        return build(node, **caps)
+
     monkeypatch.setattr(checks, "parse_spec", spy)
+    monkeypatch.setattr(checks, "evaluate", evaluate_spy)
     pairs = [("sym-cd", "S4"), ("simple-cd", "C5"), ("sym-cd", "C5"), ("simple-cd", "S4")]
     verdicts = run_pairs(pairs)
-    assert parsed == ["S4", "C5"]
+    assert parsed == evaluated == ["S4", "C5"]
     assert [(v.check_id, v.group_spec) for v in verdicts] == pairs
     assert [v.status for v in verdicts] == ["passed", "passed", "skipped", "skipped"]
     # a bad spec raises at its own pair, after the pairs before it ran
     ran = []
     run = checks.run_check
     monkeypatch.setattr(checks, "run_check", lambda *a: ran.append(a[0]) or run(*a))
+    parsed.clear()
+    evaluated.clear()
     with pytest.raises(ParseError):
         run_pairs([("sym-cd", "S4"), ("sym-cd", "S("), ("sym-cd", "S5")])
     assert ran == ["sym-cd"]
+    assert parsed == ["S4", "S("] and evaluated == ["S4"]
 
 
 def test_cd_sublattice_fails_on_a_wrong_product_set(monkeypatch):
     # the literal product set is the check's independent test of each join
     from cdlat import checks
 
-    monkeypatch.setattr(checks, "product_set_mask", lambda g, h, k: h.mask)
+    monkeypatch.setattr(checks, "product_mask", lambda g, left, right: sum(1 << a for a in left))
     v = run_check("cd-sublattice", fresh_group("D8"))
     assert v.status == "failed"
     assert v.witness["note"] == "literal product set HK differs from join"
@@ -339,8 +364,6 @@ def test_cd_sublattice_fails_on_each_member_dropped(monkeypatch, spec, notes):
     from collections import Counter
     from types import SimpleNamespace
 
-    from cdlat import cd_lattice
-
     g = fresh_group(spec)
     members = cd_lattice(g).members
     n = len(members) - 1
@@ -350,6 +373,7 @@ def test_cd_sublattice_fails_on_each_member_dropped(monkeypatch, spec, notes):
         lattice = SimpleNamespace(members=kept)
         monkeypatch.setattr(checks, "cd_lattice", lambda g, lattice=lattice: lattice)
         v = run_check("cd-sublattice", g)
+        assert (v.status, v.witness, v.stats) == brute_cd_sublattice(g, kept), drop
         if v.status == "passed":
             assert v.stats["pairs_checked"] == n * (n - 1) // 2
             seen["passed"] += 1
