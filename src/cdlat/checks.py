@@ -190,14 +190,15 @@ def _check_useful_prop(g: Group):
     result = cd_lattice(g)
     subs = _subgroups(g)
     lattice = lattice_index(subs)
+    last = len(subs) - 1
     pairs = 0
     for m in result.members:
         u = m.subgroup
         i = lattice.index[u.mask]
         # S contains U C_G(U) exactly when it lies above the join of U and
-        # C_G(U); the last subgroup above it is G itself
-        for t in bits_of(lattice.above[lattice.join(i, lattice.cent[i])])[:-1]:
-            s = subs[t]
+        # C_G(U); bit 0 above it is G itself, and bit b is subs[last - b]
+        for b in bits_of(lattice.above[lattice.join(i, lattice.cent[i])])[:0:-1]:
+            s = subs[last - b]
             pairs += 1
             sub_cd = cd_of_subgroup(g, s)
             if u.mask not in sub_cd.member_masks:
@@ -524,12 +525,11 @@ def _check_measure_lemmas(g: Group):
     corders = [orders[c] for c in cent]
     # (|H|, m(H), |C(H)|) by position, read for each meet and join
     info = list(zip(orders, meas, corders))
-    # with subs[j] at bit n - 1 - j of an up-set, the join, the least
-    # subgroup above both, is the highest common bit: its bit_length b
-    # reads top[b] = info[n - b], and no -both is formed for a lowest bit
+    # the index's up-sets hold subs[j] at bit n - 1 - j, so the join, the
+    # least subgroup above both, is the highest common bit: its bit_length
+    # b reads top[b] = info[n - b], and no -both is formed for a lowest bit
     top = [None, *reversed(info)]
-    ups = [int(format(up, f"0{n}b")[::-1], 2) for up in lattice.above]
-    rows = list(zip(masks, ups, orders, meas, [masks[c] for c in cent], corders))
+    rows = list(zip(masks, lattice.above, orders, meas, [masks[c] for c in cent], corders))
     for i, (h_mask, h_up, h_order, h_meas, ch_mask, ch_order) in enumerate(rows):
         for k_mask, k_up, k_order, k_meas, ck_mask, ck_order in rows[i:]:
             i_order, i_meas, i_corder = info[index[h_mask & k_mask]]

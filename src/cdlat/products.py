@@ -130,6 +130,12 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
     powers = (go for _ in range(n if go > 1 else 0))
     order = _order_product(itertools.chain((n,), powers))
     _cap(order, max_order, f"|{g.name} wr C{n}|", "=")
+    # one group per (bottom, top order), looked up after the cap, so the
+    # corpus spec `D12 wr C2` and d12-counterexample share one group and
+    # its centralizers
+    kept = g._cache.setdefault("wreaths", {})
+    if n in kept:
+        return kept[n]
     meta = WreathMeta(bottom=g, top_order=n)
     size = go**n
     # shifts[k][f] is the base element s -> f(s + k): the base index with
@@ -169,7 +175,7 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
         return [c * block + r for c in lead for r in rest]
 
     bottom_name = f"({g.name})" if " " in g.name else g.name
-    return Group(
+    kept[n] = w = Group(
         order,
         name=f"{bottom_name} wr C{n}",
         rows=product_table(order, mul, gens, row=row),
@@ -177,6 +183,7 @@ def wreath_cyclic(g: Group, n: int, *, max_order: int = DEFAULT_ORDER_CAP) -> Gr
         known_gens=gens,
         product_meta=meta,
     )
+    return w
 
 
 def _wreath_meta(w: Group) -> WreathMeta:

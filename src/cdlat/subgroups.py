@@ -187,24 +187,27 @@ class LatticeIndex:
     """The subgroup lattice of a group over positions in `subs`, every
     subgroup of the group sorted by order, as all_subgroups returns them.
 
-    `above[i]` is the bitset of the j with subs[i] <= subs[j], `index`
-    maps a mask to its position and `cent[i]` is the position of
-    C_G(subs[i]).  `holding[x]`, the bitset of the subgroups that contain
-    the element x, takes one set-bit walk per subgroup; a subgroup lies
-    under exactly the subgroups that hold all its generators, so above[i]
-    is the AND of holding[x] over the generators x of subs[i]: O(sum |H|)
-    steps in all, where a containment test per pair takes n^2/2."""
+    `above[i]` is the bitset of the j with subs[i] <= subs[j], subs[j] at
+    bit n - 1 - j: G is bit 0, and the least subgroup above a set is its
+    highest bit, read by bit_length.  `index` maps a mask to its position
+    and `cent[i]` is the position of C_G(subs[i]).  `holding[x]`, the
+    bitset of the subgroups that contain the element x, takes one set-bit
+    walk per subgroup; a subgroup lies under exactly the subgroups that
+    hold all its generators, so above[i] is the AND of holding[x] over the
+    generators x of subs[i]: O(sum |H|) steps in all, where a containment
+    test per pair takes n^2/2."""
 
     __slots__ = ("subs", "above", "index", "cent")
 
     def __init__(self, g: Group, subs: Sequence[Subgroup]):
         self.subs = subs
+        n = len(subs)
         holding = [0] * g.order
         for j, h in enumerate(subs):
-            bit = 1 << j
+            bit = 1 << (n - 1 - j)
             for x in h.elements():
                 holding[x] |= bit
-        every = (1 << len(subs)) - 1
+        every = (1 << n) - 1
         above = []
         for h in subs:
             mask = every
@@ -217,9 +220,8 @@ class LatticeIndex:
 
     def join(self, i: int, j: int) -> int:
         """Position of the join of subs[i] and subs[j]: the subgroup of
-        least order above both, so the lowest set bit of both bitsets."""
-        both = self.above[i] & self.above[j]
-        return (both & -both).bit_length() - 1
+        least order above both, so the highest set bit of both bitsets."""
+        return len(self.subs) - (self.above[i] & self.above[j]).bit_length()
 
 
 def lattice_index(subs: Sequence[Subgroup]) -> LatticeIndex:

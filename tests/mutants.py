@@ -137,13 +137,22 @@ MUTANTS = (
         "mask |= bit[table[b][a]]",
         ("tests/test_subgroups.py",),
     ),
-    # the join is the lowest subgroup above both, not the highest (G);
-    # useful-prop reads it
+    # the up-sets hold subs[j] at bit n - 1 - j, so the join is position
+    # n - bit_length, not the bit's own index; useful-prop reads it
     Mutant(
         "measure-lemmas-join-index",
         _SUBGROUPS,
-        "        return (both & -both).bit_length() - 1\n",
-        "        return both.bit_length() - 1\n",
+        "        return len(self.subs) - (self.above[i] & self.above[j]).bit_length()\n",
+        "        return (self.above[i] & self.above[j]).bit_length() - 1\n",
+        ("tests/test_subgroups.py",),
+    ),
+    # the join is the highest common bit; the lowest is G
+    Mutant(
+        "lattice-join-low-end",
+        _SUBGROUPS,
+        "        return len(self.subs) - (self.above[i] & self.above[j]).bit_length()\n",
+        "        both = self.above[i] & self.above[j]\n"
+        "        return len(self.subs) - (both & -both).bit_length()\n",
         ("tests/test_subgroups.py",),
     ),
     # a subgroup lies under the subgroups that hold every one of its
@@ -158,8 +167,8 @@ MUTANTS = (
     Mutant(
         "useful-prop-member-above",
         "src/cdlat/checks.py",
-        "bits_of(lattice.above[lattice.join(i, lattice.cent[i])])[:-1]",
-        "bits_of(lattice.above[i])[:-1]",
+        "bits_of(lattice.above[lattice.join(i, lattice.cent[i])])[:0:-1]",
+        "bits_of(lattice.above[i])[:0:-1]",
         ("tests/test_checks.py",),
     ),
     # the join of H and K is the least member above both, not above H alone
@@ -249,6 +258,32 @@ MUTANTS = (
         "_compose(_e[a], _e[b])",
         "_compose(_e[b], _e[a])",
         ("tests/test_groups.py",),
+    ),
+    # a kept wreath is returned only once its order is under the cap
+    Mutant(
+        "wreath-memo-before-cap",
+        _PRODUCTS,
+        '    _cap(order, max_order, f"|{g.name} wr C{n}|", "=")\n'
+        "    # one group per (bottom, top order), looked up after the cap, so the\n"
+        "    # corpus spec `D12 wr C2` and d12-counterexample share one group and\n"
+        "    # its centralizers\n"
+        '    kept = g._cache.setdefault("wreaths", {})\n'
+        "    if n in kept:\n"
+        "        return kept[n]\n",
+        '    kept = g._cache.setdefault("wreaths", {})\n'
+        "    if n in kept:\n"
+        "        return kept[n]\n"
+        '    _cap(order, max_order, f"|{g.name} wr C{n}|", "=")\n',
+        ("tests/test_checks.py",),
+    ),
+    # report_json writes the keys of every object sorted, as json.dumps
+    # with sort_keys does
+    Mutant(
+        "report-json-unsorted",
+        "src/cdlat/report.py",
+        "        for k in sorted(value):\n",
+        "        for k in value:\n",
+        ("tests/test_report_cli.py",),
     ),
     Mutant(
         "cache-dir-variable",

@@ -183,6 +183,33 @@ def test_d12_check_reports_paper_numbers():
     assert int(v.stats["witness_measure"]) >= 6**4
 
 
+def test_d12_check_reads_the_kept_wreath_and_keeps_its_cap(monkeypatch, capsys):
+    from cdlat import OrderCapExceeded, specparse
+    from cdlat.cli import main
+
+    monkeypatch.setattr(specparse, "_EVAL_CACHE", {})
+    built = []
+    real = checks.wreath_cyclic
+
+    def spy(g, n, **caps):
+        built.append(real(g, n, **caps))
+        return built[-1]
+
+    monkeypatch.setattr(checks, "wreath_cyclic", spy)
+    d12 = evaluate("D12")
+    assert run_check("d12-counterexample", d12).status == "passed"
+    # the corpus spec reads the group the check built, with its centralizers
+    assert len(built) == 1 and evaluate("D12 wr C2") is built[0]
+    assert run_check("d12-counterexample", d12).status == "passed"
+    assert built[1] is built[0]
+    # the kept group is looked up after the cap check, so a lower cap raises
+    with pytest.raises(OrderCapExceeded) as err:
+        run_check("d12-counterexample", d12, max_order=100)
+    assert str(err.value) == "|D12 wr C2| = 288 > cap 100"
+    assert main(["verify", "d12-counterexample", "D12", "--max-order", "100"]) == 3
+    assert "> cap 100" in capsys.readouterr().err
+
+
 def test_wreath_self_c2_reports_counts():
     v = run_check("wreath-self-c2", "D8 wr C2")
     assert v.status == "passed"

@@ -1,10 +1,13 @@
 """JSON/DOT serialization, the on-disk cache, and CLI behavior."""
 
+import enum
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdlat import (
     build_report,
@@ -18,9 +21,12 @@ from cdlat import (
     report_json,
     run_pairs,
 )
-from cdlat import dump_cayley
+from cdlat import default_pairs, dump_cayley
+from cdlat import report as report_mod
 from cdlat.cli import main
 from cdlat.report import cache_path
+
+from bruteforce import relabelled
 
 
 def s3_report():
@@ -58,6 +64,82 @@ def test_json_round_trip_and_determinism():
     parsed = json.loads(text1)
     assert report_json(parsed) == text1
     assert text1.endswith("\n")
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# the compute-mix specs of perfbench/run.py; its seeded order-128 Cayley
+# input is a relabelled D16 x D8
+COMPUTE_MIX_SPECS = (
+    "D8", "S5", "S3 x D8", "corpus:g32", "D8 wr C2", "D12 wr C2", "D8 x D8 x C2",
+    "C2 x C2 x C2 x C2 x C2 x C2", "UT(4,2) x C2",
+)
+
+
+def test_report_json_is_json_dumps_on_every_report():
+    verdicts = run_pairs(default_pairs())
+    report = build_verify_report(verdicts)
+    assert report_json(report) == _dumps(report)
+    groups = [(spec, evaluate(spec)) for spec in COMPUTE_MIX_SPECS]
+    groups.append(("cayley:g128", relabelled(evaluate("D16 x D8"), 3)[0]))
+    for spec, g in groups:
+        report = build_report(spec, g, cd_lattice(g))
+        assert report_json(report) == _dumps(report), spec
+
+
+def test_report_json_of_the_cli_error_payload(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    missing = str(tmp_path / 'no-\u00e9"\\.cayley')
+    for argv in (["compute", "cayley:" + missing], ["verify", "no-such-\u2028check", "C2"]):
+        assert main([*argv, "--json", str(out)]) == 4
+        text = out.read_text(encoding="utf-8")
+        assert text == _dumps(json.loads(text))
+    capsys.readouterr()
+
+
+# every kind of character json escapes: quotes, backslashes, control
+# characters, non-ASCII text and lone surrogates
+_CHARS = st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff') | st.characters(
+    exclude_categories=()
+)
+_TEXT = st.text(_CHARS, max_size=8)
+_INTS = st.integers() | st.integers(-(10**4000), 10**4000)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+def test_report_json_is_json_dumps_on_any_value(value):
+    assert report_json(value) == _dumps(value)
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": [1.5]},
+        [float("nan"), -0.0],
+        {1: "x", 2: [None]},
+        {"k": {3: True}},
+        [enum.IntEnum("Flag", "ON").ON, _Text("\u00e9")],
+    ],
+    ids=["float", "nan", "int-key", "nested-int-key", "subclass"],
+)
+def test_report_json_leaves_floats_and_int_keys_to_json_dumps(value):
+    with pytest.raises(TypeError):
+        report_mod._json_text(value, "\n")
+    assert report_json(value) == _dumps(value)
 
 
 def test_dot_format():

@@ -393,9 +393,6 @@ def test_lattice_join_matches_brute_force_for_every_pair():
         lattice = subgroups.lattice_index(subs)
         join = lattice.join
         for i, h in enumerate(subs):
-            # above[i] holds exactly the subgroups that contain subs[i]
-            want_above = sum(1 << j for j, k in enumerate(subs) if not h.mask & ~k.mask)
-            assert lattice.above[i] == want_above, (g.name, h.mask)
             assert lattice.index[h.mask] == i
             want_cent = brute_centralizer_mask(g, h.mask)
             assert subs[lattice.cent[i]].mask == want_cent, (g.name, h.mask)
@@ -404,6 +401,26 @@ def test_lattice_join_matches_brute_force_for_every_pair():
                 want = brute_closure_mask(g, bits_of(h.mask | k.mask))
                 assert subs[join(i, j)].mask == want, (g.name, h.mask, k.mask)
     assert pairs == 22325
+
+
+def test_lattice_up_sets_and_joins_match_containment_on_the_oracle_specs():
+    # above[i] holds subs[j] at bit n - 1 - j exactly when subs[i] <= subs[j],
+    # so the join is the highest common bit; join_subgroups closes it anew
+    pairs = 0
+    for spec in ORACLE_SPECS:
+        g = evaluate(spec)
+        subs = all_subgroups(g)
+        lattice = subgroups.lattice_index(subs)
+        n = len(subs)
+        for i, h in enumerate(subs):
+            want = [not h.mask & ~k.mask for k in subs]
+            got = [bool(lattice.above[i] >> (n - 1 - j) & 1) for j in range(n)]
+            assert got == want and lattice.above[i] >> n == 0, (spec, h.mask)
+            for j in range(i, n):
+                pairs += 1
+                joined = join_subgroups(h, subs[j]).mask
+                assert subs[lattice.join(i, j)].mask == joined, (spec, h.mask, subs[j].mask)
+    assert pairs == 194992
 
 
 def test_lattice_index_is_kept_for_the_enumeration_tuple_alone():
@@ -434,7 +451,7 @@ def test_lattice_index_is_kept_for_the_enumeration_tuple_alone():
 
 
 def test_a_verify_pass_builds_each_lattice_index_once(monkeypatch):
-    from cdlat import corpus, specparse
+    from cdlat import corpus, groups, specparse
     from cdlat.checks import default_pairs, run_pairs
 
     # fresh groups, so the first pass starts with no index built
@@ -448,14 +465,26 @@ def test_a_verify_pass_builds_each_lattice_index_once(monkeypatch):
         return build(g, subs)
 
     monkeypatch.setattr(subgroups, "LatticeIndex", spy)
+    # tables are gathered on the cold pass alone: d12-counterexample and
+    # the corpus spec `D12 wr C2` share the wreath kept on D12
+    gathered = []
+    gather = groups.gather_rows
+
+    def gather_spy(order, gens, gen_rows):
+        gathered.append(order)
+        return gather(order, gens, gen_rows)
+
+    monkeypatch.setattr(groups, "gather_rows", gather_spy)
     pairs = default_pairs()
     cold = run_pairs(pairs)
     readers = {"measure-lemmas", "useful-prop"}
     specs = {v.group_spec for v in cold if v.check_id in readers and v.status == "passed"}
     assert len(built) == len({id(g) for g in built}) == len(specs)
+    assert gathered
     built.clear()
+    gathered.clear()
     warm = run_pairs(pairs)
-    assert built == []
+    assert built == [] and gathered == []
     assert [(v.status, v.stats) for v in warm] == [(v.status, v.stats) for v in cold]
 
 

@@ -240,6 +240,8 @@ def test_wreath_table_over_a_formula_backed_bottom(n):
     # the wreath is small enough to tabulate, read from the bottom's formula
     d8 = named_group("D", 8)
     f, g = wreath_cyclic(_formula_twin(d8), n), wreath_cyclic(d8, n)
+    # each bottom keeps its own wreath, so the two are built apart
+    assert f is not g and f.product_meta.bottom is not d8
     assert f.rows() is not None
     assert f.rows() == g.rows()
     assert [f.inv(x) for x in range(g.order)] == [g.inv(x) for x in range(g.order)]
