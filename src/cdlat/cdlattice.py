@@ -81,11 +81,16 @@ class CDMember(Record):
 class CDResult(Record):
     """The maximal-measure sublattice of a group."""
 
-    __slots__ = ("group", "max_measure", "members", "hasse_edges")
+    __slots__ = ("group", "max_measure", "members", "above")
     group: Group
     max_measure: int
     members: tuple[CDMember, ...]
-    hasse_edges: tuple[tuple[int, int], ...]
+    # bit j of above[i] is set when j != i and members[i] <= members[j]
+    above: tuple[int, ...]
+
+    @property
+    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
+        return _hasse_edges(self.above)
 
     def member_masks(self) -> list[int]:
         return [m.subgroup.mask for m in self.members]
@@ -101,8 +106,9 @@ class CDResult(Record):
 
 
 def cd_lattice(g: Group) -> CDResult:
-    """All subgroups of maximal measure, with Hasse cover edges, CL flags,
-    normality/defect annotations and the centralizer pairing.
+    """All subgroups of maximal measure, with their up-sets (the Hasse
+    cover edges are read off them), CL flags, normality/defect
+    annotations and the centralizer pairing.
 
     Members come from the centralizer closure, as bare masks, so no
     subgroup is enumerated and no order limit applies; the report replays
@@ -138,26 +144,14 @@ def cd_lattice(g: Group) -> CDResult:
                 centralizer_index=mask_index[cent],
             )
         )
-    above = _above(list(mask_index))
-    edges = _hasse_edges(above)
     result = CDResult(
-        group=g, max_measure=best, members=tuple(members), hasse_edges=edges
+        group=g, max_measure=best, members=tuple(members), above=_above(list(mask_index))
     )
-    g._cache["cd_above"] = above
     g._cache["cd_result"] = result
     return result
 
 
-def _member_above(g: Group, result: CDResult) -> list[int]:
-    """`_above` of the member masks of result: the up-sets cd_lattice
-    formed for its Hasse edges when result is the lattice it keeps on g,
-    else formed here, for a lattice built by hand."""
-    if g._cache.get("cd_result") is result:
-        return g._cache["cd_above"]
-    return _above([m.subgroup.mask for m in result.members])
-
-
-def _hasse_edges(above: list[int]) -> tuple[tuple[int, int], ...]:
+def _hasse_edges(above: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     # transitive reduction on the up-set bitsets `_above` gives (Aho,
     # Garey & Ullman 1972): j covers i when no k strictly above i lies
     # strictly below j
@@ -170,12 +164,12 @@ def _hasse_edges(above: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def _above(masks: list[int]) -> list[int]:
+def _above(masks: list[int]) -> tuple[int, ...]:
     """For each i, the bitset of the j != i with masks[i] <= masks[j]."""
-    return [
+    return tuple(
         sum(1 << j for j, mj in enumerate(masks) if j != i and mi & ~mj == 0)
         for i, mi in enumerate(masks)
-    ]
+    )
 
 
 def cl_subgroups(g: Group) -> tuple[Subgroup, ...]:
@@ -227,8 +221,7 @@ def lattice_isomorphic(a: CDResult, b: CDResult) -> bool:
         )
     if len(a.members) != len(b.members):
         return False
-    up_a = _member_above(a.group, a)
-    up_b = _member_above(b.group, b)
+    up_a, up_b = a.above, b.above
     sig_a = _signatures(up_a)
     sig_b = _signatures(up_b)
     if sorted(sig_a) != sorted(sig_b):
@@ -261,7 +254,7 @@ def lattice_isomorphic(a: CDResult, b: CDResult) -> bool:
     return assign(0, {})
 
 
-def _signatures(up: list[int]) -> list[tuple]:
+def _signatures(up: tuple[int, ...]) -> list[tuple]:
     n = len(up)
     down = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
     sig = [(up[i].bit_count(), down[i].bit_count()) for i in range(n)]

@@ -12,7 +12,7 @@ from contextvars import ContextVar
 from functools import partial
 from typing import Callable
 
-from .cdlattice import _member_above, cd_lattice, cd_of_subgroup, measure
+from .cdlattice import cd_lattice, cd_of_subgroup, measure
 from .corpus import (
     ENUMERABLE_WREATH_SPECS,
     G32_GENS,
@@ -148,7 +148,7 @@ def _check_cd_sublattice(g: Group):
     elems = [h.elements() for h in members]
     # members are in canonical order, so the least member above H and K
     # is the lowest set bit of their reflexive up-sets
-    up = [above | 1 << i for i, above in enumerate(_member_above(g, result))]
+    up = [above | 1 << i for i, above in enumerate(result.above)]
     for i, (h, cent) in enumerate(zip(members, cents)):
         if cent.mask not in at:
             return _failed("centralizer of a member is not a member", [h, cent])
@@ -195,9 +195,9 @@ def _check_useful_prop(g: Group):
     for m in result.members:
         u = m.subgroup
         i = lattice.index[u.mask]
-        # S contains U C_G(U) exactly when it lies above the join of U and
-        # C_G(U); bit 0 above it is G itself, and bit b is subs[last - b]
-        for b in bits_of(lattice.above[lattice.join(i, lattice.cent[i])])[:0:-1]:
+        # S contains U C_G(U) exactly when it lies above both U and C_G(U);
+        # bit 0 is G itself, and bit b is subs[last - b]
+        for b in bits_of(lattice.above[i] & lattice.above[lattice.cent[i]])[:0:-1]:
             s = subs[last - b]
             pairs += 1
             sub_cd = cd_of_subgroup(g, s)

@@ -218,11 +218,6 @@ class LatticeIndex:
         self.index = index = {h.mask: i for i, h in enumerate(subs)}
         self.cent = [index[centralizer(g, h).mask] for h in subs]
 
-    def join(self, i: int, j: int) -> int:
-        """Position of the join of subs[i] and subs[j]: the subgroup of
-        least order above both, so the highest set bit of both bitsets."""
-        return len(self.subs) - (self.above[i] & self.above[j]).bit_length()
-
 
 def lattice_index(subs: Sequence[Subgroup]) -> LatticeIndex:
     """The LatticeIndex of subs.  The index of the tuple all_subgroups(g)

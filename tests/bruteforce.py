@@ -232,6 +232,15 @@ def brute_cd_members(g: Group, within: int | None = None) -> tuple[int, list[int
     return best, members
 
 
+def brute_above(masks: list[int]) -> tuple[int, ...]:
+    """For each i, the bitset of the j != i with masks[i] <= masks[j], by a
+    containment test per pair."""
+    return tuple(
+        sum(1 << j for j, k in enumerate(masks) if j != i and h & ~k == 0)
+        for i, h in enumerate(masks)
+    )
+
+
 def brute_hasse_edges(masks: list[int]) -> tuple[tuple[int, int], ...]:
     """Cover pairs (i, j) of distinct masks, masks[i] < masks[j] with no
     masks[k] strictly between, by testing every k against a full
@@ -420,7 +429,8 @@ def brute_lexmin_generators(g: Group, mask: int, joins: dict | None = None) -> t
 
 def brute_measure_lemmas(g: Group) -> tuple[str, dict | None, dict]:
     """measure-lemmas over positions in the enumerated subgroups, reading
-    each meet from the mask index and each join with `LatticeIndex.join`."""
+    each meet from the mask index and each join by closing the two
+    subgroups anew (`join_subgroups`), not from the lattice's up-sets."""
     if not _enumerable(g):
         return _skipped("group too large to enumerate")
     subs = _subgroups(g)
@@ -438,7 +448,7 @@ def brute_measure_lemmas(g: Group) -> tuple[str, dict | None, dict]:
     for i in range(n):
         for j in range(i, n):
             inter = index[masks[i] & masks[j]]
-            join = lattice.join(i, j)
+            join = index[join_subgroups(subs[i], subs[j]).mask]
             lhs = meas[i] * meas[j]
             rhs = meas[join] * meas[inter]
             if lhs > rhs:

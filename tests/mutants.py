@@ -137,26 +137,8 @@ MUTANTS = (
         "mask |= bit[table[b][a]]",
         ("tests/test_subgroups.py",),
     ),
-    # the up-sets hold subs[j] at bit n - 1 - j, so the join is position
-    # n - bit_length, not the bit's own index; useful-prop reads it
-    Mutant(
-        "measure-lemmas-join-index",
-        _SUBGROUPS,
-        "        return len(self.subs) - (self.above[i] & self.above[j]).bit_length()\n",
-        "        return (self.above[i] & self.above[j]).bit_length() - 1\n",
-        ("tests/test_subgroups.py",),
-    ),
-    # the join is the highest common bit; the lowest is G
-    Mutant(
-        "lattice-join-low-end",
-        _SUBGROUPS,
-        "        return len(self.subs) - (self.above[i] & self.above[j]).bit_length()\n",
-        "        both = self.above[i] & self.above[j]\n"
-        "        return len(self.subs) - (both & -both).bit_length()\n",
-        ("tests/test_subgroups.py",),
-    ),
     # a subgroup lies under the subgroups that hold every one of its
-    # generators, and S >= U C_G(U) lies above the join of U and C_G(U)
+    # generators, and S >= U C_G(U) lies above both U and C_G(U)
     Mutant(
         "lattice-above-skip-generator",
         _SUBGROUPS,
@@ -167,8 +149,8 @@ MUTANTS = (
     Mutant(
         "useful-prop-member-above",
         "src/cdlat/checks.py",
-        "bits_of(lattice.above[lattice.join(i, lattice.cent[i])])[:0:-1]",
-        "bits_of(lattice.above[i])[:0:-1]",
+        "lattice.above[i] & lattice.above[lattice.cent[i]]",
+        "lattice.above[i]",
         ("tests/test_checks.py",),
     ),
     # the join of H and K is the least member above both, not above H alone
@@ -225,6 +207,22 @@ MUTANTS = (
         _CDLATTICE,
         "if j != i and mi & ~mj == 0",
         "if mi & ~mj == 0",
+        ("tests/test_cdlattice.py",),
+    ),
+    # the result's Hasse edges are the reduction of its up-sets, which hold
+    # the members above, not below
+    Mutant(
+        "hasse-edges-no-reduction",
+        _CDLATTICE,
+        "        return _hasse_edges(self.above)\n",
+        "        return tuple((i, j) for i, up in enumerate(self.above) for j in bits_of(up))\n",
+        ("tests/test_cdlattice.py",),
+    ),
+    Mutant(
+        "cd-above-down-sets",
+        _CDLATTICE,
+        "mi & ~mj == 0",
+        "mj & ~mi == 0",
         ("tests/test_cdlattice.py",),
     ),
     # a wreath by C1 has a trivial top and no sigma generator

@@ -31,6 +31,7 @@ from cdlat.subgroups import subnormal_defect
 
 from bruteforce import (
     ORACLE_SPECS,
+    brute_above,
     brute_cd_members,
     brute_centralizer_mask,
     brute_hasse_edges,
@@ -143,7 +144,8 @@ def fake_result(subs):
     """A CDResult whose members are the given subgroups, for the order
     tests alone: the annotations are placeholders."""
     members = tuple(CDMember(h, True, 1, False, 0) for h in subs)
-    return CDResult(group=subs[0].ambient, max_measure=0, members=members, hasse_edges=())
+    above = brute_above([h.mask for h in subs])
+    return CDResult(group=subs[0].ambient, max_measure=0, members=members, above=above)
 
 
 def test_iso_rejects_same_size_different_shape():
@@ -183,7 +185,7 @@ def test_iso_cap():
         group=big.group,
         max_measure=big.max_measure,
         members=big.members * 13,
-        hasse_edges=(),
+        above=big.above * 13,
     )
     with pytest.raises(TooLargeForIso):
         lattice_isomorphic(fake, fake)
@@ -244,8 +246,10 @@ def test_hasse_is_transitive_reduction():
 
 
 def test_hasse_edges_match_brute_force():
-    for spec in ORACLE_SPECS:
+    # D8 wr C3 (125 members) and S6 lie past the enumeration limit
+    for spec in ORACLE_SPECS + ("D8 wr C3", "S6"):
         result = cd_lattice(evaluate(spec))
+        assert result.above == brute_above(result.member_masks()), spec
         assert result.hasse_edges == brute_hasse_edges(result.member_masks()), spec
     # CD(D8)^4 as masks on four blocks of 8 bits: 625 members, 3000 covers
     d8 = cd_lattice(named_group("D", 8)).member_masks()
@@ -308,8 +312,7 @@ def enumerate_then_scan(g):
         members.append(
             CDMember(h, defect <= 1, defect, cent & ~h.mask == 0, index[cent])
         )
-    edges = brute_hasse_edges([h.mask for h in found])
-    return CDResult(g, best, tuple(members), edges)
+    return CDResult(g, best, tuple(members), brute_above([h.mask for h in found]))
 
 
 def test_closure_matches_enumerate_then_scan():

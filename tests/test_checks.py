@@ -7,7 +7,7 @@ from cdlat.checks import CHECKS, CHECKS_BY_ID, CheckDef
 from cdlat.groups import DEFAULT_ORDER_CAP
 from cdlat.specparse import evaluate
 
-from bruteforce import brute_cd_sublattice, brute_measure_lemmas, fresh_group
+from bruteforce import brute_above, brute_cd_sublattice, brute_measure_lemmas, fresh_group
 
 
 def test_registry_ids_are_stable():
@@ -397,7 +397,8 @@ def test_cd_sublattice_fails_on_each_member_dropped(monkeypatch, spec, notes):
     seen = Counter()
     for drop in range(len(members)):
         kept = members[:drop] + members[drop + 1 :]
-        lattice = SimpleNamespace(members=kept)
+        above = brute_above([m.subgroup.mask for m in kept])
+        lattice = SimpleNamespace(members=kept, above=above)
         monkeypatch.setattr(checks, "cd_lattice", lambda g, lattice=lattice: lattice)
         v = run_check("cd-sublattice", g)
         assert (v.status, v.witness, v.stats) == brute_cd_sublattice(g, kept), drop
@@ -419,13 +420,21 @@ def test_useful_prop_reaches_every_subgroup_above_u_and_its_centralizer(monkeypa
 
     from bruteforce import brute_centralizer_mask
 
+    def containing_pairs(g):
+        full = (1 << g.order) - 1
+        found = []
+        for m in cd_lattice(g).members:
+            u = m.subgroup.mask
+            v = u | brute_centralizer_mask(g, u)
+            found += [(u, s.mask) for s in all_subgroups(g) if s.mask != full and not v & ~s.mask]
+        return found
+
+    # on D8 wr C2 the walk's count alone is checked against containment
+    wreath = fresh_group("D8 wr C2")
+    v = run_check("useful-prop", wreath)
+    assert v.status == "passed" and v.stats["pairs_checked"] == len(containing_pairs(wreath)) == 85
     g = fresh_group("corpus:g32")
-    full = (1 << g.order) - 1
-    expected = []
-    for m in cd_lattice(g).members:
-        u = m.subgroup.mask
-        v = u | brute_centralizer_mask(g, u)
-        expected += [(u, s.mask) for s in all_subgroups(g) if s.mask != full and not v & ~s.mask]
+    expected = containing_pairs(g)
     v = run_check("useful-prop", g)
     assert v.status == "passed" and v.stats["pairs_checked"] == len(expected) > 20
     real = checks.cd_of_subgroup

@@ -61,7 +61,7 @@ FROZEN = SPEC_NODES + [
             "centralizer_index": 0,
         },
     ),
-    (CDResult, {"group": C2, "max_measure": 4, "members": (), "hasse_edges": ((0, 1),)}),
+    (CDResult, {"group": C2, "max_measure": 4, "members": (), "above": (2, 0)}),
     (SubgroupCD, {"ambient": S3, "max_measure": 9, "member_masks": (7,), "cl_masks": ()}),
     (CheckDef, {"check_id": "x", "claim": "a claim", "fn": len, "default_specs": ("C2",)}),
     (PermutationGenSet, {"degree": 3, "generators": ((1, 0, 2), (0, 2, 1))}),

@@ -387,11 +387,13 @@ def test_join_matches_brute_force_for_every_pair():
 
 
 def test_lattice_join_matches_brute_force_for_every_pair():
+    # the join is the highest bit common to both up-sets, as measure-lemmas
+    # reads it
     pairs = 0
     for g in pair_oracle_groups():
         subs = all_subgroups(g)
         lattice = subgroups.lattice_index(subs)
-        join = lattice.join
+        above, n = lattice.above, len(subs)
         for i, h in enumerate(subs):
             assert lattice.index[h.mask] == i
             want_cent = brute_centralizer_mask(g, h.mask)
@@ -399,7 +401,8 @@ def test_lattice_join_matches_brute_force_for_every_pair():
             for j, k in enumerate(subs):
                 pairs += 1
                 want = brute_closure_mask(g, bits_of(h.mask | k.mask))
-                assert subs[join(i, j)].mask == want, (g.name, h.mask, k.mask)
+                join = subs[n - (above[i] & above[j]).bit_length()]
+                assert join.mask == want, (g.name, h.mask, k.mask)
     assert pairs == 22325
 
 
@@ -419,7 +422,8 @@ def test_lattice_up_sets_and_joins_match_containment_on_the_oracle_specs():
             for j in range(i, n):
                 pairs += 1
                 joined = join_subgroups(h, subs[j]).mask
-                assert subs[lattice.join(i, j)].mask == joined, (spec, h.mask, subs[j].mask)
+                join = subs[n - (lattice.above[i] & lattice.above[j]).bit_length()]
+                assert join.mask == joined, (spec, h.mask, subs[j].mask)
     assert pairs == 194992
 
 
@@ -437,11 +441,11 @@ def test_lattice_index_is_kept_for_the_enumeration_tuple_alone():
         lattice = subgroups.lattice_index(other)
         assert lattice is not kept and lattice.subs is other
         assert g._cache["lattice"] is kept
-        join = lattice.join
+        above, n = lattice.above, len(other)
         for i, h in enumerate(other):
             for j, k in enumerate(other):
                 want = brute_closure_mask(g, bits_of(h.mask | k.mask))
-                assert other[join(i, j)].mask == want
+                assert other[n - (above[i] & above[j]).bit_length()].mask == want
     # a new enumeration tuple replaces the kept index
     del g._cache["subgroups"]
     fresh = all_subgroups(g)
