@@ -99,10 +99,10 @@ def universal_corpus_specs() -> tuple[str, ...]:
         key=lambda s: (_ATOM_ORDERS[s], s),
     )
     specs = ["C1"] + list(atoms)
-    seen = {("C1",)} | {(a,) for a in atoms}
     stack = [((a,), _ATOM_ORDERS[a]) for a in atoms]
     while stack:
         combo, order = stack.pop()
+        # atoms are appended in string order, so each multiset is built once
         for a in atoms:
             if a < combo[-1]:
                 continue
@@ -110,9 +110,6 @@ def universal_corpus_specs() -> tuple[str, ...]:
             if new_order > UNIVERSAL_MAX_ORDER:
                 continue
             new_combo = combo + (a,)
-            if new_combo in seen:
-                continue
-            seen.add(new_combo)
             specs.append(" x ".join(new_combo))
             stack.append((new_combo, new_order))
     return tuple(sorted(specs, key=_spec_sort_key))
@@ -136,7 +133,8 @@ WREATH_CORPUS_SPECS = (
     "D12 wr C2",
 )
 
-# wreaths small enough for full enumeration in the universal checks
+# the wreaths the universal checks also run on: this tuple fixes which
+# verdicts, and so which report bytes, the corpus run holds
 ENUMERABLE_WREATH_SPECS = (
     "C2 wr C2",
     "C2 wr C3",

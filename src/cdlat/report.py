@@ -85,19 +85,15 @@ def build_verify_report(verdicts: list[Verdict]) -> dict:
 
 def report_json(report: dict) -> str:
     """The text of `json.dumps(report, sort_keys=True, indent=2)` plus a
-    newline.  With an indent, json.dumps runs its pure-Python encoder, one
-    generator step per token, about a sixth of a warm `verify all corpus`
-    pass; `_json_text` writes the same bytes with one join per container.
-    A value it does not cover (a float, a non-str key, a subclass of str
-    or int) is left to json.dumps."""
-    try:
-        return _json_text(report, "\n") + "\n"
-    except TypeError:
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    newline, written with one join per container: with an indent,
+    json.dumps runs its pure-Python encoder, one generator step per token.
+    Reports hold only dicts with str keys, lists, tuples, str, int, bool
+    and None; any other value raises TypeError naming its type."""
+    return _json_text(report, "\n") + "\n"
 
 
 # the text of each JSON scalar by its exact type; any other leaf (a
-# float, a subclass of str or int) is left to json.dumps
+# float, a subclass of str or int) raises TypeError
 _SCALARS = {
     str: _quote,
     int: int.__repr__,
@@ -124,7 +120,7 @@ def _json_text(value, indent: str) -> str:
     elif type(value) in _SCALARS:
         return _SCALARS[type(value)](value)
     else:
-        raise TypeError(f"{type(value).__name__} is left to json.dumps")
+        raise TypeError(f"a report holds no {type(value).__name__}")
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]

@@ -283,6 +283,15 @@ MUTANTS = (
         "        for k in value:\n",
         ("tests/test_report_cli.py",),
     ),
+    # report_json is the only writer: a scalar it cannot write raises
+    # instead of going to a second writer with the same bytes
+    Mutant(
+        "report-json-scalar-str",
+        "src/cdlat/report.py",
+        "    str: _quote,\n",
+        "",
+        ("tests/test_report_cli.py",),
+    ),
     Mutant(
         "cache-dir-variable",
         "src/cdlat/report.py",
@@ -382,6 +391,21 @@ MUTANTS = (
         'if value is None or value.startswith("-"):',
         "if value is None:",
         ("tests/test_cli_parse.py",),
+    ),
+    # a check whose comparison is dropped passes on a wrong input
+    Mutant(
+        "direct-cd-never-fails",
+        "src/cdlat/checks.py",
+        "    if got != want:\n",
+        "    if False:\n",
+        ("tests/test_checks.py",),
+    ),
+    Mutant(
+        "wreath-center-never-fails",
+        "src/cdlat/checks.py",
+        "    if zw.mask != diag.mask:\n",
+        "    if False:\n",
+        ("tests/test_checks.py",),
     ),
     # the checks' subgroups_enumerated stat: taken within the enumeration
     # limit only, and never dropped there

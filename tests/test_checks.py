@@ -1,5 +1,7 @@
 """The named-check registry: verdict shapes, gates, and paper examples."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from cdlat import cd_lattice, check_ids, checks, default_pairs, run_check, run_pairs, subgroups
@@ -389,7 +391,6 @@ def test_cd_sublattice_fails_on_each_member_dropped(monkeypatch, spec, notes):
     # still a sublattice); the counts are those of an independent reading
     # of joins and centralizers off the whole subgroup lattice
     from collections import Counter
-    from types import SimpleNamespace
 
     g = fresh_group(spec)
     members = cd_lattice(g).members
@@ -414,8 +415,6 @@ def test_cd_sublattice_fails_on_each_member_dropped(monkeypatch, spec, notes):
 def test_useful_prop_reaches_every_subgroup_above_u_and_its_centralizer(monkeypatch):
     # each S with U C_G(U) <= S < G in turn drops U from its lattice: the
     # check must fail at exactly that pair, so its walk visits every such S
-    from types import SimpleNamespace
-
     from cdlat import all_subgroups, cd_lattice, checks
 
     from bruteforce import brute_centralizer_mask
@@ -452,3 +451,84 @@ def test_useful_prop_reaches_every_subgroup_above_u_and_its_centralizer(monkeypa
         assert v.witness["note"] == "member with U C(U) <= S < G missing from S's lattice"
         got = [sum(1 << x for x in item["elements"]) for item in v.witness["subgroups"]]
         assert got == [u, s]
+
+
+def _lattice(masks):
+    # a stand-in for cd_lattice's result that offers only its member masks
+    return SimpleNamespace(member_masks=lambda: masks)
+
+
+def _trivial(g, *_):
+    return subgroups.trivial_subgroup(g)
+
+
+def _without_top(real):
+    # cd_lattice without its last member, G itself when G is a member
+    return lambda g: _lattice(real(g).member_masks()[:-1])
+
+
+def _with_top(real):
+    return lambda g: _lattice([*real(g).member_masks(), (1 << g.order) - 1])
+
+
+def _right_trivial(real):
+    # product_subgroup(g, x, y) with y replaced by the trivial subgroup
+    return lambda g, x, y: real(g, x, _trivial(y.ambient))
+
+
+def _sub_cd(change):
+    # cd_of_subgroup with its member masks changed
+    def make(real):
+        return lambda g, s: SimpleNamespace(member_masks=change(real(g, s).member_masks))
+
+    return make
+
+
+# one failing case for each check whose failure no other test reaches:
+# the check id, a spec it passes on, the name in `checks` that is made
+# wrong, a function from the real one to the wrong one, and the note the
+# check must then fail with
+_FAILING = (
+    ("cd-subnormal", "S4", "subnormal_defect", lambda real: lambda g, h: real(g, h) + 1,
+     "annotated defect 1 != recomputed 2"),
+    ("direct-cd", "C2 x S3", "product_subgroup", _right_trivial,
+     "CD of product differs from product of CDs"),
+    ("direct-cl", "C2 x S3", "product_subgroup", _right_trivial,
+     "CL of product differs from product of CLs"),
+    ("wreath-base-centralizer", "S3 wr C2", "base_subgroup", lambda real: _trivial,
+     "centralizer of the base is not the base's center"),
+    ("wreath-center", "C4 wr C2", "diagonal_subgroup", lambda real: _trivial,
+     "center of W is not the diagonal of Z(B)"),
+    ("wreath-not-self", "C4 wr C2", "base_subgroup", lambda real: _trivial,
+     "m_W(B) = 32 not above m_W(W) = 128"),
+    ("wreath-self-c2", "C2 wr C2", "cd_of_subgroup", _sub_cd(lambda masks: masks + (1,)),
+     "CD(B) member missing from CD(W)"),
+    ("wreath-cd-collapse", "C4 wr C2", "cd_of_subgroup", _sub_cd(lambda masks: masks[1:]),
+     "CD(W) differs from CD(B)"),
+    ("wreath-mmm", "C4 wr C2", "base_subgroup", lambda real: _trivial,
+     "member with neither U nor C_W(U) inside the base"),
+    ("d12-counterexample", "D12", "cd_lattice", _with_top,
+     "G still sits in its own lattice"),
+    ("embed-2group", "(C2 wr C2) wr C2", "cd_lattice", _without_top,
+     "iterated wreath missing from its own lattice"),
+    ("simple-cd", "C5", "cd_lattice", _without_top,
+     "lattice of a simple group is not {Z(S), S}"),
+    ("sym-cd", "S4", "cd_lattice", _without_top,
+     "symmetric-group lattice is not {1, G}"),
+)
+
+
+@pytest.mark.parametrize(
+    "check_id, spec, name, make_wrong, note", _FAILING, ids=[row[0] for row in _FAILING]
+)
+def test_each_check_fails_on_a_wrong_input(monkeypatch, check_id, spec, name, make_wrong, note):
+    assert run_check(check_id, fresh_group(spec)).status == "passed"
+    monkeypatch.setattr(checks, name, make_wrong(getattr(checks, name)))
+    v = run_check(check_id, fresh_group(spec))
+    assert (v.status, v.witness["note"]) == ("failed", note)
+
+
+def test_every_check_has_a_failing_case():
+    # these five reach a failed verdict in tests of their own above
+    elsewhere = {"cd-sublattice", "useful-prop", "measure-lemmas", "g32-nonnormal", "ut52-not-self"}
+    assert {row[0] for row in _FAILING} | elsewhere == set(check_ids())
