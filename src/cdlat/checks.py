@@ -31,7 +31,7 @@ from .products import (
     wreath_cyclic,
 )
 from .records import Record
-from .specparse import GroupSpec, evaluate, parse_spec, spec_text
+from .specparse import GroupSpec, evaluate, resolve, spec_text
 from .subgroups import (
     DEFAULT_ENUM_LIMIT,
     Subgroup,
@@ -726,8 +726,8 @@ def _resolve(spec: str | GroupSpec | Group, order_cap: int) -> tuple[str, Group]
     """The text a verdict reports for spec, and its group."""
     if isinstance(spec, Group):
         return spec.name, spec
-    node = parse_spec(spec) if isinstance(spec, str) else spec
-    return spec_text(node), evaluate(node, max_order=order_cap)
+    text = resolve(spec)[1] if isinstance(spec, str) else spec_text(spec)
+    return text, evaluate(spec, max_order=order_cap)
 
 
 def default_pairs(check_id: str | None = None) -> list[tuple[str, str]]:

@@ -32,7 +32,7 @@ from .report import (
     export_dot,
     report_json,
 )
-from .specparse import cayley_paths, evaluate, parse_spec, spec_text
+from .specparse import evaluate, resolve
 from .subgroups import DEFAULT_SUBGROUP_CAP, check_enumerable, resolve_caps
 
 EXIT_OK = 0
@@ -217,22 +217,20 @@ def _emit_error(args, exc: Exception, code: int) -> int:
 def _cmd_compute(args) -> int:
     order_cap, enum_limit = resolve_caps(args.max_order)
     try:
-        node = parse_spec(args.spec)
+        _, text, paths = resolve(args.spec)
     except ParseError as exc:
         return _emit_error(args, exc, EXIT_PARSE)
-    text = spec_text(node)
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     key = cached = None
     try:
         if not args.no_cache:
             # key on all the output depends on: spec, Cayley file bytes, caps
-            paths = cayley_paths(node)
             digests = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths]
             caps = f"caps {order_cap} {enum_limit} {args.max_subgroups}"
             key = "\n".join([text, *digests, caps])
             cached = cache_get(cache_dir, key)
         if cached is None:
-            group = evaluate(node, max_order=order_cap)
+            group = evaluate(args.spec, max_order=order_cap)
             # the report replays a subgroup search, so compute keeps the
             # enumeration limit that cd_lattice itself does not need
             check_enumerable(group, enum_limit)
@@ -289,9 +287,8 @@ def _cmd_verify(args) -> int:
         if args.target == "corpus":
             pairs = default_pairs(None if check == "all" else check)
         else:
-            text = spec_text(parse_spec(args.target))
             ids = check_ids() if check == "all" else (check,)
-            pairs = [(cid, text) for cid in ids]
+            pairs = [(cid, args.target) for cid in ids]
         verdicts = run_pairs(pairs, args.max_order)
     except ParseError as exc:
         return _emit_error(args, exc, EXIT_PARSE)

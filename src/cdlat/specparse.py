@@ -295,7 +295,22 @@ def cayley_paths(node: GroupSpec) -> list[str]:
     return []
 
 
-# (canonical text, order cap) -> ((size, mtime) of each Cayley file, group)
+# raw spec text -> (node, canonical text, Cayley paths); a text that does
+# not parse is not stored, so it raises again on the next call
+_RESOLVED: dict[str, tuple[GroupSpec, str, tuple[str, ...]]] = {}
+
+
+def resolve(spec: str) -> tuple[GroupSpec, str, tuple[str, ...]]:
+    """Parse spec text once per process: its node, its canonical text and
+    the paths of its cayley: atoms, left to right."""
+    entry = _RESOLVED.get(spec)
+    if entry is None:
+        node = parse_spec(spec)
+        entry = _RESOLVED[spec] = (node, spec_text(node), tuple(cayley_paths(node)))
+    return entry
+
+
+# (canonical text, order cap) -> ((size, mtime, inode) of each Cayley file, group)
 _EVAL_CACHE: dict[tuple[str, int], tuple[tuple, Group]] = {}
 
 
@@ -306,14 +321,22 @@ def evaluate(
 
     Evaluation is deterministic, and results are cached per canonical
     text and order cap, so repeated runs share enumeration work.  An entry
-    also records the (size, mtime) of each Cayley file; when they change
-    the file is read again and the new group replaces the entry.  A
-    missing Cayley file raises OSError.
+    also records the (size, mtime, inode) of each Cayley file, read by
+    os.stat on every call; when they change the file is read again and
+    the new group replaces the entry.  A missing Cayley file raises
+    OSError.
     """
-    node = parse_spec(spec) if isinstance(spec, str) else spec
-    key = (spec_text(node), max_order)
-    paths = cayley_paths(node)
-    stamps = tuple((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths))
+    if isinstance(spec, str):
+        node, text, paths = resolve(spec)
+    else:
+        node, text, paths = spec, spec_text(spec), cayley_paths(spec)
+    key = (text, max_order)
+    # most specs have no Cayley atom; for them a hit builds no generator
+    stamps = (
+        tuple((st.st_size, st.st_mtime_ns, st.st_ino) for st in map(os.stat, paths))
+        if paths
+        else ()
+    )
     entry = _EVAL_CACHE.get(key)
     if entry is not None and entry[0] == stamps:
         return entry[1]

@@ -357,6 +357,26 @@ MUTANTS = (
         "",
         ("tests/test_groups.py", "tests/test_report_cli.py"),
     ),
+    # the spec resolver: evaluate's Cayley-file stamps, and the paths the
+    # memo keeps for them and for compute's cache key
+    Mutant(
+        "resolve-skips-cayley-stamps",
+        "src/cdlat/specparse.py",
+        "    stamps = (\n"
+        "        tuple((st.st_size, st.st_mtime_ns, st.st_ino) for st in map(os.stat, paths))\n"
+        "        if paths\n"
+        "        else ()\n"
+        "    )\n",
+        "    stamps = ()\n",
+        ("tests/test_specparse.py", "tests/test_report_cli.py"),
+    ),
+    Mutant(
+        "resolve-drops-cayley-paths",
+        "src/cdlat/specparse.py",
+        "(node, spec_text(node), tuple(cayley_paths(node)))",
+        "(node, spec_text(node), ())",
+        ("tests/test_specparse.py", "tests/test_report_cli.py"),
+    ),
     Mutant(
         "spec-int-isdigit",
         "src/cdlat/specparse.py",

@@ -320,20 +320,22 @@ def test_pair_checks_match_their_per_pair_form(check_id, brute):
 
 
 def test_run_pairs_parses_each_spec_once_in_order(monkeypatch):
-    from cdlat import ParseError, checks, run_pairs, spec_text
+    from cdlat import ParseError, checks, run_pairs, specparse
 
     parsed, evaluated = [], []
-    parse, build = checks.parse_spec, checks.evaluate
+    parse, build = specparse.parse_spec, checks.evaluate
 
     def spy(text):
         parsed.append(text)
         return parse(text)
 
-    def evaluate_spy(node, **caps):
-        evaluated.append(spec_text(node))
-        return build(node, **caps)
+    def evaluate_spy(spec, **caps):
+        evaluated.append(spec)
+        return build(spec, **caps)
 
-    monkeypatch.setattr(checks, "parse_spec", spy)
+    # the resolver parses each text once per process, so start it empty
+    monkeypatch.setattr(specparse, "_RESOLVED", {})
+    monkeypatch.setattr(specparse, "parse_spec", spy)
     monkeypatch.setattr(checks, "evaluate", evaluate_spy)
     pairs = [("sym-cd", "S4"), ("simple-cd", "C5"), ("sym-cd", "C5"), ("simple-cd", "S4")]
     verdicts = run_pairs(pairs)
@@ -346,6 +348,7 @@ def test_run_pairs_parses_each_spec_once_in_order(monkeypatch):
     monkeypatch.setattr(checks, "run_check", lambda *a: ran.append(a[0]) or run(*a))
     parsed.clear()
     evaluated.clear()
+    specparse._RESOLVED.clear()
     with pytest.raises(ParseError):
         run_pairs([("sym-cd", "S4"), ("sym-cd", "S("), ("sym-cd", "S5")])
     assert ran == ["sym-cd"]

@@ -1,5 +1,7 @@
 """Mini-language grammar, errors, round-trips, evaluation."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 from cdlat import (
     OrderCapExceeded,
     ParseError,
+    default_pairs,
     dump_cayley,
     named_group,
     parse_spec,
     spec_text,
+    specparse,
 )
 from cdlat.groups import DEFAULT_ORDER_CAP
 from cdlat.specparse import (
@@ -22,7 +26,9 @@ from cdlat.specparse import (
     Product,
     UTAtom,
     Wreath,
+    cayley_paths,
     evaluate,
+    resolve,
 )
 
 
@@ -132,6 +138,27 @@ def test_parse_error_expected_tokens():
     assert err.value.expected
 
 
+def _assert_resolves(text):
+    node = parse_spec(text)
+    entry = resolve(text)
+    assert entry == (node, spec_text(node), tuple(cayley_paths(node)))
+    assert resolve(text) is entry
+
+
+def test_resolve_matches_the_parser_on_every_corpus_spec():
+    for text in {spec for _, spec in default_pairs()}:
+        _assert_resolves(text)
+
+
+@pytest.mark.parametrize("bad", ["S(", "D8 x", "UT(5,3)"])
+def test_resolve_stores_no_text_that_fails_to_parse(bad):
+    before = dict(specparse._RESOLVED)
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            resolve(bad)
+    assert specparse._RESOLVED == before
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -157,6 +184,7 @@ _atoms = st.one_of(
     st.builds(FamilyAtom, st.sampled_from("CDQSA"), st.integers(1, 30)),
     st.builds(UTAtom, st.integers(2, 9)),
     st.builds(CorpusAtom, st.sampled_from(["g32", "ut52", "other_name"])),
+    st.builds(CayleyAtom, st.sampled_from(["g.cay", "/tmp/x.cay"])),
     st.builds(
         PermAtom,
         st.lists(
@@ -187,6 +215,7 @@ def _specs(depth: int):
 @given(_specs(3))
 def test_round_trip_generated_specs(node):
     assert parse_spec(spec_text(node)) == node
+    _assert_resolves(spec_text(node))
 
 
 def test_evaluate_atoms_and_products():
@@ -219,6 +248,21 @@ def test_evaluate_rereads_an_edited_or_deleted_cayley_file(tmp_path):
     path.unlink()
     with pytest.raises(OSError):
         evaluate(spec)
+
+
+def test_evaluate_rereads_a_cayley_file_replaced_at_the_same_size_and_mtime(tmp_path):
+    # a rename onto the path changes the inode even when the size and the
+    # restored mtime match the file it replaced
+    path, new = tmp_path / "g.cay", tmp_path / "new.cay"
+    spec = f"cayley:{path}"
+    path.write_text(dump_cayley(named_group("C", 6)))
+    old = path.stat()
+    assert evaluate(spec).is_abelian()
+    new.write_text(dump_cayley(named_group("S", 3)))
+    assert new.stat().st_size == old.st_size
+    os.replace(new, path)
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+    assert not evaluate(spec).is_abelian()
 
 
 def test_evaluate_keeps_one_entry_per_spec_and_cap(tmp_path):
