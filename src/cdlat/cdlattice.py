@@ -152,9 +152,9 @@ def cd_lattice(g: Group) -> CDResult:
 
 
 def _hasse_edges(above: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    # transitive reduction on the up-set bitsets `_above` gives (Aho,
-    # Garey & Ullman 1972): j covers i when no k strictly above i lies
-    # strictly below j
+    # the transitive reduction (Aho, Garey & Ullman 1972) of the strict
+    # up-sets `above`: j covers i when no k strictly above i lies strictly
+    # below j
     edges = []
     for i, up in enumerate(above):
         covers = up

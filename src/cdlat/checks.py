@@ -31,7 +31,7 @@ from .products import (
     wreath_cyclic,
 )
 from .records import Record
-from .specparse import GroupSpec, evaluate, resolve, spec_text
+from .specparse import evaluate, resolve
 from .subgroups import (
     DEFAULT_ENUM_LIMIT,
     Subgroup,
@@ -685,13 +685,10 @@ def check_ids() -> tuple[str, ...]:
 
 
 def run_check(
-    check_id: str,
-    spec: str | GroupSpec | Group | tuple[str, Group],
-    max_order: int | None = None,
+    check_id: str, spec: str | Group, max_order: int | None = None
 ) -> Verdict:
-    """Run one named check against one group spec: a spec string or node,
-    a group (reported by its name), or the (spec text, group) pair that
-    run_pairs resolves once per spec under the same caps.
+    """Run one named check against one group: a spec text, reported in
+    its canonical form, or a group, reported by its name.
 
     `max_order` caps the order of every group the check builds and its
     enumeration, as `compute --max-order` does; None keeps the default
@@ -702,7 +699,10 @@ def run_check(
         known = ", ".join(check_ids())
         raise KeyError(f"unknown check {check_id!r} (known: {known})")
     caps = resolve_caps(max_order)
-    text, group = spec if isinstance(spec, tuple) else _resolve(spec, caps[0])
+    if isinstance(spec, Group):
+        text, group = spec.name, spec
+    else:
+        text, group = resolve(spec)[1], evaluate(spec, max_order=caps[0])
     token = _CAPS.set(caps)
     start = time.perf_counter()
     try:
@@ -722,14 +722,6 @@ def run_check(
     )
 
 
-def _resolve(spec: str | GroupSpec | Group, order_cap: int) -> tuple[str, Group]:
-    """The text a verdict reports for spec, and its group."""
-    if isinstance(spec, Group):
-        return spec.name, spec
-    text = resolve(spec)[1] if isinstance(spec, str) else spec_text(spec)
-    return text, evaluate(spec, max_order=order_cap)
-
-
 def default_pairs(check_id: str | None = None) -> list[tuple[str, str]]:
     """(check_id, spec) pairs for the default corpus run."""
     pairs = []
@@ -742,16 +734,7 @@ def default_pairs(check_id: str | None = None) -> list[tuple[str, str]]:
 
 
 def run_pairs(pairs, max_order: int | None = None) -> list[Verdict]:
-    """Run (check_id, spec) pairs in order under the caps of `max_order`,
-    parsing and evaluating each distinct spec text once, when its first
-    pair runs, so a bad spec raises at that pair."""
-    order_cap = resolve_caps(max_order)[0]
-    resolved: dict[str, tuple[str, Group]] = {}
-    verdicts = []
-    for cid, spec in pairs:
-        if isinstance(spec, str):
-            if spec not in resolved:
-                resolved[spec] = _resolve(spec, order_cap)
-            spec = resolved[spec]
-        verdicts.append(run_check(cid, spec, max_order))
-    return verdicts
+    """Run (check_id, spec) pairs in order under the caps of `max_order`.
+    `resolve` parses each spec text once per process and `evaluate` builds
+    it once per order cap, so a bad spec raises at its first pair."""
+    return [run_check(cid, spec, max_order) for cid, spec in pairs]

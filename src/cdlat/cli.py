@@ -278,11 +278,14 @@ def _print_compute_summary(report: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    check = args.check_flag or args.check
+    check = args.check if args.check_flag is None else args.check_flag
     if check != "all" and check not in check_ids():
         known = ", ".join(check_ids())
         exc = ValueError(f"unknown check {check!r} (known: {known})")
         return _emit_error(args, exc, EXIT_INVALID)
+    if args.check not in ("all", check):
+        exc = ValueError(f"conflicting check ids: --check {check!r} and {args.check!r}")
+        return _emit_error(args, exc, EXIT_PARSE)
     try:
         if args.target == "corpus":
             pairs = default_pairs(None if check == "all" else check)

@@ -157,23 +157,24 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "cdlat"
 
 
-def cache_key(spec: str) -> str:
-    return hashlib.sha256(f"{spec}\n{ENGINE_VERSION}".encode("utf-8")).hexdigest()
+def cache_key(key: str) -> str:
+    return hashlib.sha256(f"{key}\n{ENGINE_VERSION}".encode("utf-8")).hexdigest()
 
 
-def cache_path(cache_dir: Path, spec: str) -> Path:
-    return Path(cache_dir) / f"{cache_key(spec)}.json"
+def cache_path(cache_dir: Path, key: str) -> Path:
+    return Path(cache_dir) / f"{cache_key(key)}.json"
 
 
-def cache_get(cache_dir: Path, spec: str) -> tuple[str, dict] | None:
-    """Cached report text for the spec and the report it parses to, or None.
+def cache_get(cache_dir: Path, key: str) -> tuple[str, dict] | None:
+    """Cached report text for the key text and the report it parses to,
+    or None.
 
     An entry that does not parse as a report (cut short, not UTF-8, not
     JSON, or without a report's keys) is a miss, which the caller's
     cache_put then overwrites.  A cut-short entry parses only when the
     cut took just the final newline, which the check for it catches."""
     try:
-        text = cache_path(cache_dir, spec).read_text(encoding="utf-8")
+        text = cache_path(cache_dir, key).read_text(encoding="utf-8")
         report = json.loads(text)
     except (FileNotFoundError, ValueError):
         return None
@@ -182,11 +183,12 @@ def cache_get(cache_dir: Path, spec: str) -> tuple[str, dict] | None:
     return text, report
 
 
-def cache_put(cache_dir: Path, spec: str, text: str) -> Path:
-    """Atomically store report text (temp file then rename)."""
+def cache_put(cache_dir: Path, key: str, text: str) -> Path:
+    """Atomically store report text under the key text (temp file then
+    rename)."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_path(cache_dir, spec)
+    path = cache_path(cache_dir, key)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -427,6 +427,14 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_checks.py",),
     ),
+    # run_check builds a spec text under the caps of its max_order
+    Mutant(
+        "run-check-drops-order-cap",
+        "src/cdlat/checks.py",
+        "evaluate(spec, max_order=caps[0])",
+        "evaluate(spec)",
+        ("tests/test_report_cli.py",),
+    ),
     # the checks' subgroups_enumerated stat: taken within the enumeration
     # limit only, and never dropped there
     Mutant(

@@ -323,20 +323,22 @@ def test_run_pairs_parses_each_spec_once_in_order(monkeypatch):
     from cdlat import ParseError, checks, run_pairs, specparse
 
     parsed, evaluated = [], []
-    parse, build = specparse.parse_spec, checks.evaluate
+    parse, build = specparse.parse_spec, specparse._evaluate
 
     def spy(text):
         parsed.append(text)
         return parse(text)
 
-    def evaluate_spy(spec, **caps):
-        evaluated.append(spec)
-        return build(spec, **caps)
+    def evaluate_spy(node, max_order):
+        evaluated.append(specparse.spec_text(node))
+        return build(node, max_order)
 
-    # the resolver parses each text once per process, so start it empty
+    # the resolver parses each text once per process and evaluate builds
+    # each group once per cap, so start both empty
     monkeypatch.setattr(specparse, "_RESOLVED", {})
+    monkeypatch.setattr(specparse, "_EVAL_CACHE", {})
     monkeypatch.setattr(specparse, "parse_spec", spy)
-    monkeypatch.setattr(checks, "evaluate", evaluate_spy)
+    monkeypatch.setattr(specparse, "_evaluate", evaluate_spy)
     pairs = [("sym-cd", "S4"), ("simple-cd", "C5"), ("sym-cd", "C5"), ("simple-cd", "S4")]
     verdicts = run_pairs(pairs)
     assert parsed == evaluated == ["S4", "C5"]
@@ -345,13 +347,14 @@ def test_run_pairs_parses_each_spec_once_in_order(monkeypatch):
     # a bad spec raises at its own pair, after the pairs before it ran
     ran = []
     run = checks.run_check
-    monkeypatch.setattr(checks, "run_check", lambda *a: ran.append(a[0]) or run(*a))
+    monkeypatch.setattr(checks, "run_check", lambda *a: ran.append(a[1]) or run(*a))
     parsed.clear()
     evaluated.clear()
     specparse._RESOLVED.clear()
+    specparse._EVAL_CACHE.clear()
     with pytest.raises(ParseError):
         run_pairs([("sym-cd", "S4"), ("sym-cd", "S("), ("sym-cd", "S5")])
-    assert ran == ["sym-cd"]
+    assert ran == ["S4", "S("]
     assert parsed == ["S4", "S("] and evaluated == ["S4"]
 
 

@@ -21,7 +21,7 @@ from cdlat import (
     report_json,
     run_pairs,
 )
-from cdlat import default_pairs, dump_cayley
+from cdlat import cli, default_pairs, dump_cayley
 from cdlat.cli import main
 from cdlat.report import cache_path
 
@@ -740,6 +740,27 @@ def test_cli_verify_check_flag_alias(capsys):
     assert main(["verify", "--check", "sym-cd", "all", "S4"]) == 0
     out = capsys.readouterr().out
     assert "PASS  sym-cd  [S4]" in out
+
+
+@pytest.mark.parametrize(
+    "argv, fast, ids",
+    [
+        (["verify", "sym-cd", "S5", "--check", "simple-cd"], True, "'simple-cd' and 'sym-cd'"),
+        # argparse binds S5 to the positional check id
+        (["verify", "--check", "sym-cd", "S5"], False, "'sym-cd' and 'S5'"),
+    ],
+)
+def test_cli_verify_rejects_a_second_check_id(argv, fast, ids, capsys):
+    assert (cli._parse_fast(argv) is not None) == fast
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"conflicting check ids: --check {ids}" in captured.err
+
+
+def test_cli_verify_empty_check_flag_is_an_unknown_check(capsys):
+    assert main(["verify", "--check", "", "S4"]) == 4
+    assert "unknown check ''" in capsys.readouterr().err
 
 
 def test_cli_verify_json_report(tmp_path):
