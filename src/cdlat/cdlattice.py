@@ -39,6 +39,11 @@ def _maximal_centralizers(g: Group, within: int) -> tuple[int, list[tuple[int, i
     double centralizer, so the maximum is attained exactly on centralizers
     in S: the intersections of the C_S(x) = C_G(x) & S, x in S, with S
     itself as the empty intersection.
+
+    The scan pairs each closed M with C_S(M), the union of the classes
+    with key c >= M.  If M <= Z(S), C_S(M) = S.  Otherwise M holds some x
+    outside Z(S), and every key c >= M holds x, so only the keys holding
+    the lowest such x are tested; their list is formed once per x.
     """
     # elements of S by their centralizer in S: y is in C_S(M) exactly
     # when M <= C_S(y), so C_S(M) is the union of the classes above M
@@ -50,13 +55,23 @@ def _maximal_centralizers(g: Group, within: int) -> tuple[int, list[tuple[int, i
     for c in classes:
         if c not in closed:
             closed |= {m & c for m in closed}
+    center = classes[within]
+    candidates: dict[int, list[tuple[int, int]]] = {}
     best = 0
     pairs: list[tuple[int, int]] = []
     for m in closed:
-        cent = 0
-        for c, ys in classes.items():
-            if m & ~c == 0:
-                cent |= ys
+        outside = m & ~center
+        if not outside:
+            cent = within
+        else:
+            x = (outside & -outside).bit_length() - 1
+            keys = candidates.get(x)
+            if keys is None:
+                keys = candidates[x] = [(c, ys) for c, ys in classes.items() if c >> x & 1]
+            cent = 0
+            for c, ys in keys:
+                if m & ~c == 0:
+                    cent |= ys
         value = m.bit_count() * cent.bit_count()
         if value > best:
             best = value

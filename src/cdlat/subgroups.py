@@ -5,6 +5,7 @@ defect."""
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationLimitExceeded, SubgroupCapExceeded
@@ -33,9 +34,20 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
-def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical sort key of a subgroup mask: (order, ascending elements)."""
-    return (mask.bit_count(), tuple(bits_of(mask)))
+# byte b to 255 - (b with its bits reversed): of two bytes, the one set at
+# the lowest bit where they differ maps lower
+_LOW_BIT_FIRST = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def canonical_key(mask: int) -> tuple[int, bytes]:
+    """Canonical sort key of a subgroup mask: its order, then its bytes,
+    lowest first, each through _LOW_BIT_FIRST.  Masks of one order sort as
+    their ascending element lists do: the first element where those lists
+    differ is the lowest bit where the masks differ, and the list holding
+    it sorts first.  Neither byte string is a prefix of the other, since a
+    mask's last byte is nonzero and both have the same bit count."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return (mask.bit_count(), data.translate(_LOW_BIT_FIRST))
 
 
 class Subgroup:
@@ -72,8 +84,9 @@ class Subgroup:
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> x & 1)
 
-    def key(self) -> tuple[int, tuple[int, ...]]:
-        """Canonical sort key: (order, ascending element list)."""
+    def key(self) -> tuple[int, bytes]:
+        """Canonical sort key: by order, then as the ascending element
+        lists (see canonical_key)."""
         return canonical_key(self.mask)
 
     def __eq__(self, other):
@@ -129,14 +142,23 @@ def _shift_table(g: Group) -> Sequence[int]:
 
 
 def _extend(
-    table, bit: Sequence[int], mask: int, elems: list[int], gens: Sequence[int], g: int
-) -> int:
+    table,
+    bit: Sequence[int],
+    above: Sequence[int],
+    mask: int,
+    blocked: int,
+    elems: list[int],
+    gens: Sequence[int],
+    g: int,
+) -> tuple[int, int]:
     """Dimino step: close the subgroup H = (mask, gens) with one new
     generator g, reading products from the group's table and single-bit
     masks from the group's shift table `bit`.  `elems` lists H's elements
     and is only read.
 
-    Returns the mask of <H, g>, a union of right cosets H*r.  The walk
+    Returns the mask of <H, g>, a union of right cosets H*r, and `blocked`
+    ORed with above[t] for each element t the step adds, so a caller that
+    passes the OR of above[h] over H gets that OR over <H, g>.  The walk
     starts at H*g, fills each coset once, and goes on from each coset H*r
     it fills to H*r*s for every generator s of H and to H*r*g.  It appends
     to the list it iterates, and skips a representative whose coset is
@@ -147,22 +169,26 @@ def _extend(
         if mask & bit[r]:
             continue
         for h in elems:
-            mask |= bit[table[h][r]]
+            t = table[h][r]
+            mask |= bit[t]
+            blocked |= above[t]
         row_r = table[r]
         for s in step:
             t = row_r[s]
             if not mask & bit[t]:
                 reps.append(t)
-    return mask
+    return mask, blocked
 
 
 def _grow(g: Group, mask: int, gens: list[int], xs: Iterable[int]) -> Subgroup:
     """The subgroup generated by H = (mask, gens) and the elements xs
     yields: each x outside the growing mask is adjoined by one Dimino step
-    and appended to gens, which xs may read as it grows."""
+    and appended to gens, which xs may read as it grows.  The steps carry
+    no coset rules: their table `above` is all zeros."""
+    table, bit, above = g.table, _shift_table(g), bytes(g.order)
     for x in xs:
         if not mask >> x & 1:
-            mask = _extend(g.table, _shift_table(g), mask, bits_of(mask), gens, x)
+            mask = _extend(table, bit, above, mask, 0, bits_of(mask), gens, x)[0]
             gens.append(x)
     return Subgroup(g, mask, gens=tuple(gens))
 
@@ -299,22 +325,29 @@ def _discover(g: Group, within: int) -> Iterator[tuple[int, tuple[int, ...]]]:
                 above[table[y][xi]] |= bit[x]
                 above[table[xi][y]] |= bit[x]
     yield from found.items()
-    worklist = list(found)[1:]
-    for kmask in worklist:  # which grows as joins are found
+    # each entry is a subgroup and the OR of above[h] over its elements,
+    # which a join carries from its Dimino step; a cyclic seed forms it
+    # when popped, so a replay that stops early pays only for its pops
+    worklist: deque[tuple[int, int | None]] = deque((kmask, None) for kmask in list(found)[1:])
+    while worklist:  # which grows as joins are found
+        kmask, blocked = worklist.popleft()
         gens = found[kmask]
+        if blocked is None:
+            blocked = 0
+            for h in bits_of(kmask):
+                blocked |= above[h]
+        todo = least & ~kmask & ~blocked & -(2 << gens[-1])
+        if not todo:
+            continue
         elems = bits_of(kmask)
-        blocked = kmask
-        for h in elems:
-            blocked |= above[h]
-        todo = least & ~blocked & -(2 << gens[-1])
         while todo:
             low = todo & -todo
             todo ^= low
             x = low.bit_length() - 1
-            new_mask = _extend(table, bit, kmask, elems, gens, x)
+            new_mask, new_blocked = _extend(table, bit, above, kmask, blocked, elems, gens, x)
             if new_mask not in found:
                 found[new_mask] = gens + (x,)
-                worklist.append(new_mask)
+                worklist.append((new_mask, new_blocked))
                 yield new_mask, found[new_mask]
 
 
@@ -381,7 +414,8 @@ def element_centralizer(g: Group, s: int) -> int:
     first call for a conjugacy class walks it from s and closes the
     Schreier generators of C_G(s), and the group keeps (s, t_y) with
     s^(t_y) = y for every member y.  A later call for y conjugates:
-    C_G(y) = t_y^-1 * C_G(s) * t_y, |C_G(s)| conjugations."""
+    C_G(y) = t_y^-1 * C_G(s) * t_y, |C_G(s)| conjugations over the element
+    list of C_G(s), formed once per class."""
     cache = g._cache.setdefault("element_centralizers", {})
     mask = cache.get(s)
     if mask is None:
@@ -389,9 +423,13 @@ def element_centralizer(g: Group, s: int) -> int:
         if s in transversal:
             table, bit = g.table, _shift_table(g)
             rep, t = transversal[s]
+            listed = g._cache.setdefault("class_centralizer_elements", {})
+            elems = listed.get(rep)
+            if elems is None:
+                elems = listed[rep] = bits_of(cache[rep])
             row_ti = table[g._inv[t]]
             mask = 0
-            for c in bits_of(cache[rep]):
+            for c in elems:
                 mask |= bit[table[row_ti[c]][t]]
         else:
             mask = _class_walk(g, s, transversal)

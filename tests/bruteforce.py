@@ -15,7 +15,13 @@ from cdlat import Group, NotAGroup
 from cdlat.checks import _enumerable, _failed, _passed, _skipped, _subgroups
 from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
 from cdlat.groups import check_axioms, from_cayley
-from cdlat.subgroups import centralizer, join_subgroups, lattice_index, product_set_mask
+from cdlat.subgroups import (
+    centralizer,
+    element_centralizer,
+    join_subgroups,
+    lattice_index,
+    product_set_mask,
+)
 
 # every group the oracles are compared on: the universal corpus, the
 # order-32 fixture and the wreath products small enough to enumerate
@@ -230,6 +236,35 @@ def brute_cd_members(g: Group, within: int | None = None) -> tuple[int, list[int
             members.append(h)
     members.sort(key=lambda h: (h.bit_count(), [x for x in range(g.order) if h >> x & 1]))
     return best, members
+
+
+def brute_maximal_centralizers(g: Group, within: int) -> tuple[int, list[tuple[int, int]]]:
+    """cdlattice._maximal_centralizers by the full scan: the centralizers
+    in S = `within` are closed under intersection from the element
+    centralizers C_S(y) (taken from element_centralizer, which the tests
+    check against a scan of G), and every closed M is tested against every
+    key c, collecting the y with C_S(y) = c >= M into C_S(M).  Returns the
+    largest |M| * |C_S(M)| and the (M, C_S(M)) pairs attaining it, ordered
+    by (order, elements)."""
+    classes: dict[int, int] = {}
+    for y in range(g.order):
+        if within >> y & 1:
+            c = element_centralizer(g, y) & within
+            classes[c] = classes.get(c, 0) | 1 << y
+    closed = {within}
+    for c in classes:
+        closed |= {m & c for m in closed}
+    scored = []
+    for m in closed:
+        cent = 0
+        for c, ys in classes.items():
+            if m & ~c == 0:
+                cent |= ys
+        scored.append((m.bit_count() * cent.bit_count(), m, cent))
+    best = max(value for value, _, _ in scored)
+    pairs = [(m, cent) for value, m, cent in scored if value == best]
+    pairs.sort(key=lambda p: (p[0].bit_count(), [x for x in range(g.order) if p[0] >> x & 1]))
+    return best, pairs
 
 
 def brute_above(masks: list[int]) -> tuple[int, ...]:

@@ -52,36 +52,38 @@ MUTANTS = (
     Mutant(
         "discover-trivial-rule",
         _SUBGROUPS,
-        "    worklist = list(found)[1:]\n"
-        "    for kmask in worklist:  # which grows as joins are found\n"
+        "    worklist: deque[tuple[int, int | None]] = deque((kmask, None) for kmask in list(found)[1:])\n"
+        "    while worklist:  # which grows as joins are found\n"
+        "        kmask, blocked = worklist.popleft()\n"
         "        gens = found[kmask]\n"
-        "        elems = bits_of(kmask)\n"
-        "        blocked = kmask\n"
-        "        for h in elems:\n"
-        "            blocked |= above[h]\n"
-        "        todo = least & ~blocked & -(2 << gens[-1])\n",
-        "    worklist = list(found)\n"
-        "    for kmask in worklist:  # which grows as joins are found\n"
+        "        if blocked is None:\n"
+        "            blocked = 0\n"
+        "            for h in bits_of(kmask):\n"
+        "                blocked |= above[h]\n"
+        "        todo = least & ~kmask & ~blocked & -(2 << gens[-1])\n",
+        "    worklist: deque[tuple[int, int | None]] = deque((kmask, None) for kmask in list(found))\n"
+        "    while worklist:  # which grows as joins are found\n"
+        "        kmask, blocked = worklist.popleft()\n"
         "        gens = found[kmask]\n"
-        "        elems = bits_of(kmask)\n"
-        "        blocked = kmask\n"
-        "        for h in elems:\n"
-        "            blocked |= above[h]\n"
-        "        todo = least & ~blocked & (-(2 << gens[-1]) if gens else -1)\n",
+        "        if blocked is None:\n"
+        "            blocked = 0\n"
+        "            for h in bits_of(kmask):\n"
+        "                blocked |= above[h]\n"
+        "        todo = least & ~kmask & ~blocked & (-(2 << gens[-1]) if gens else -1)\n",
         ("tests/test_subgroups.py",),
     ),
     Mutant(
         "discover-least-generator-rule",
         _SUBGROUPS,
-        "todo = least & ~blocked & -(2 << gens[-1])",
-        "todo = within & ~blocked & -(2 << gens[-1])",
+        "todo = least & ~kmask & ~blocked & -(2 << gens[-1])",
+        "todo = within & ~kmask & ~blocked & -(2 << gens[-1])",
         ("tests/test_subgroups.py",),
     ),
     Mutant(
         "discover-ascending-rule",
         _SUBGROUPS,
-        "todo = least & ~blocked & -(2 << gens[-1])",
-        "todo = least & ~blocked",
+        "todo = least & ~kmask & ~blocked & -(2 << gens[-1])",
+        "todo = least & ~kmask & ~blocked",
         ("tests/test_subgroups.py",),
     ),
     Mutant(
@@ -95,6 +97,14 @@ MUTANTS = (
         "discover-coset-rule-xh",
         _SUBGROUPS,
         "                above[table[xi][y]] |= bit[x]\n",
+        "",
+        ("tests/test_subgroups.py",),
+    ),
+    # a join carries the coset rules of every element its Dimino step adds
+    Mutant(
+        "discover-join-drops-rules",
+        _SUBGROUPS,
+        "            blocked |= above[t]\n",
         "",
         ("tests/test_subgroups.py",),
     ),
@@ -191,6 +201,22 @@ MUTANTS = (
         _CDLATTICE,
         "closed |= {m & c for m in closed}",
         "closed.add(c)",
+        ("tests/test_cdlattice.py",),
+    ),
+    # C_S(M) is S for M inside Z(S), and otherwise the union of the classes
+    # whose key holds M, each of which holds M's lowest non-central element
+    Mutant(
+        "scan-candidates-by-class-elements",
+        _CDLATTICE,
+        "if c >> x & 1]",
+        "if ys >> x & 1]",
+        ("tests/test_cdlattice.py",),
+    ),
+    Mutant(
+        "scan-central-gives-itself",
+        _CDLATTICE,
+        "            cent = within\n",
+        "            cent = m\n",
         ("tests/test_cdlattice.py",),
     ),
     # the Hasse reduction: keep every containment, or reduce by up-sets

@@ -22,7 +22,7 @@ from cdlat import (
     named_group,
     trivial_subgroup,
 )
-from cdlat.cdlattice import CDMember, CDResult, _above, _hasse_edges
+from cdlat.cdlattice import CDMember, CDResult, _above, _hasse_edges, _maximal_centralizers
 from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
 from cdlat.specparse import evaluate
 from cdlat.report import build_report, report_json
@@ -35,6 +35,7 @@ from bruteforce import (
     brute_cd_members,
     brute_centralizer_mask,
     brute_hasse_edges,
+    brute_maximal_centralizers,
     brute_order_isomorphic,
     fresh_group,
     relabelled,
@@ -350,6 +351,26 @@ def test_cd_lattice_matches_brute_force_on_small_groups():
         best, members = brute_cd_members(g)
         result = cd_lattice(g)
         assert (result.max_measure, result.member_masks()) == (best, members), spec
+
+
+def test_the_pruned_scan_matches_the_full_scan_on_the_oracle_specs():
+    for spec in ORACLE_SPECS:
+        g = evaluate(spec)
+        full = (1 << g.order) - 1
+        assert _maximal_centralizers(g, full) == brute_maximal_centralizers(g, full), spec
+
+
+@pytest.mark.parametrize("spec", ["S4", "corpus:g32", "D8 wr C2", "C4 wr C2"])
+def test_the_pruned_scan_matches_the_full_scan_inside_every_subgroup(spec):
+    # cd_of_subgroup scans inside subgroups, where Z(S) and the keys are
+    # taken in S: every subgroup of these groups, the bases of the wreath
+    # products and each S above a member's U C_G(U) among them
+    g = evaluate(spec)
+    for s in all_subgroups(g):
+        assert _maximal_centralizers(g, s.mask) == brute_maximal_centralizers(g, s.mask), (
+            spec,
+            s.mask,
+        )
 
 
 def test_max_subgroups_caps_the_subgroups_the_replay_discovers(monkeypatch):

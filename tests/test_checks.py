@@ -5,11 +5,18 @@ from types import SimpleNamespace
 import pytest
 
 from cdlat import cd_lattice, check_ids, checks, default_pairs, run_check, run_pairs, subgroups
+from cdlat.cdlattice import _maximal_centralizers
 from cdlat.checks import CHECKS, CHECKS_BY_ID, CheckDef
 from cdlat.groups import DEFAULT_ORDER_CAP
 from cdlat.specparse import evaluate
 
-from bruteforce import brute_above, brute_cd_sublattice, brute_measure_lemmas, fresh_group
+from bruteforce import (
+    brute_above,
+    brute_cd_sublattice,
+    brute_maximal_centralizers,
+    brute_measure_lemmas,
+    fresh_group,
+)
 
 
 def test_registry_ids_are_stable():
@@ -95,6 +102,13 @@ def test_each_check_passes_past_the_enumeration_limit(check_id, spec):
     v = run_check(check_id, spec)
     assert v.status == "passed", (v.witness, v.stats)
     assert "subgroups_enumerated" not in v.stats
+
+
+@pytest.mark.parametrize("spec", sorted({s for _, ss in _PAST_LIMIT for s in ss}))
+def test_the_pruned_scan_matches_the_full_scan_past_the_enumeration_limit(spec):
+    g = evaluate(spec)
+    full = (1 << g.order) - 1
+    assert _maximal_centralizers(g, full) == brute_maximal_centralizers(g, full)
 
 
 @pytest.mark.parametrize("spec", ["D8 wr C3", "Q8 wr C3", "C3 wr C5"])

@@ -596,6 +596,20 @@ def test_cli_max_subgroups_counts_the_replayed_subgroups(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "spec, discovered",
+    [("D8 wr C2", 576), ("C2 x C2 x C2 x C2 x C2 x C2", 2825)],
+)
+def test_cli_max_subgroups_boundary_on_a_whole_lattice_replay(spec, discovered, capsys):
+    # CD(G)'s top member is G, the last subgroup the discovery meets, so
+    # the replay discovers every subgroup of G: the cap must allow all of
+    # them, and one fewer fails
+    argv = ["compute", spec, "--no-cache", "--max-subgroups"]
+    assert main(argv + [str(discovered - 1)]) == 3
+    assert main(argv + [str(discovered)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_max_subgroups_caps_a_replay_of_the_seeds_alone(capsys):
     # CD(C12) is C12 itself, the second subgroup the seeding finds
     assert main(["compute", "C12", "--no-cache", "--max-subgroups", "1"]) == 3

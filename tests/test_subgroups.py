@@ -130,10 +130,12 @@ def test_discovery_tries_only_joins_that_can_be_new(monkeypatch, spec, calls):
 
 
 def test_subgroup_set_canonical_order():
-    subs = all_subgroups(s4())
-    keys = [h.key() for h in subs]
-    assert keys == sorted(keys)
-    assert len({h.mask for h in subs}) == len(subs)
+    # canonical_key reads a mask's bytes; the order it gives is the order
+    # of (|H|, ascending elements of H)
+    for spec in ORACLE_SPECS:
+        subs = all_subgroups(evaluate(spec))
+        assert list(subs) == sorted(subs, key=lambda h: (h.order, tuple(h.elements()))), spec
+        assert len({h.mask for h in subs}) == len(subs), spec
 
 
 def test_enumeration_limit(monkeypatch):
