@@ -196,8 +196,7 @@ def cl_subgroups(g: Group) -> tuple[Subgroup, ...]:
 class SubgroupCD(Record):
     """Lattice of a subgroup S <= G, as masks of G."""
 
-    __slots__ = ("ambient", "max_measure", "member_masks", "cl_masks")
-    ambient: Group
+    __slots__ = ("max_measure", "member_masks", "cl_masks")
     max_measure: int
     member_masks: tuple[int, ...]
     cl_masks: tuple[int, ...]
@@ -211,7 +210,6 @@ def cd_of_subgroup(g: Group, s: Subgroup) -> SubgroupCD:
     if result is None:
         best, pairs = _maximal_centralizers(g, s.mask)
         result = cache[s.mask] = SubgroupCD(
-            ambient=g,
             max_measure=best,
             member_masks=tuple(m for m, _ in pairs),
             cl_masks=tuple(m for m, cent in pairs if cent & ~m == 0),

@@ -34,6 +34,7 @@ from .records import Record
 from .specparse import evaluate, resolve
 from .subgroups import (
     DEFAULT_ENUM_LIMIT,
+    LatticeIndex,
     Subgroup,
     all_subgroups,
     bits_of,
@@ -42,7 +43,6 @@ from .subgroups import (
     closure,
     full_subgroup,
     join_subgroups,
-    lattice_index,
     normal_closure,
     normalizer,
     product_mask,
@@ -108,20 +108,29 @@ _CAPS: ContextVar[tuple[int, int]] = ContextVar(
 )
 
 
-def _enumerable(g: Group) -> bool:
-    return g.order <= _CAPS.get()[1]
+def _subgroups(g: Group) -> tuple[Subgroup, ...] | None:
+    """all_subgroups(g) under the running check's enumeration limit, or
+    None past it: the limit is tested before any kept tuple is read."""
+    limit = _CAPS.get()[1]
+    if g.order > limit:
+        return None
+    return all_subgroups(g, max_order=limit)
 
 
-def _subgroups(g: Group) -> tuple[Subgroup, ...]:
-    return all_subgroups(g, max_order=_CAPS.get()[1])
+def _lattice(g: Group) -> LatticeIndex:
+    """The LatticeIndex of all_subgroups(g), built on first use and kept on
+    g; read only once _subgroups(g) is not None."""
+    lattice = g._cache.get("lattice")
+    if lattice is None:
+        lattice = g._cache["lattice"] = LatticeIndex(g, _subgroups(g))
+    return lattice
 
 
 def _enumerated(g: Group) -> dict:
     """The `subgroups_enumerated` stat of g, omitted past the enumeration
     limit: the checks that report it read only CD(G) and centralizers."""
-    if _enumerable(g):
-        return {"subgroups_enumerated": len(_subgroups(g))}
-    return {}
+    subs = _subgroups(g)
+    return {} if subs is None else {"subgroups_enumerated": len(subs)}
 
 
 def _is_prime(n: int) -> bool:
@@ -185,11 +194,11 @@ def _check_cd_subnormal(g: Group):
 
 
 def _check_useful_prop(g: Group):
-    if not _enumerable(g):
+    subs = _subgroups(g)
+    if subs is None:
         return _skipped("group too large to enumerate")
     result = cd_lattice(g)
-    subs = _subgroups(g)
-    lattice = lattice_index(subs)
+    lattice = _lattice(g)
     last = len(subs) - 1
     pairs = 0
     for m in result.members:
@@ -508,10 +517,10 @@ def _check_sym_cd(g: Group):
 
 
 def _check_measure_lemmas(g: Group):
-    if not _enumerable(g):
-        return _skipped("group too large to enumerate")
     subs = _subgroups(g)
-    lattice = lattice_index(subs)
+    if subs is None:
+        return _skipped("group too large to enumerate")
+    lattice = _lattice(g)
     masks = [h.mask for h in subs]
     orders = [h.order for h in subs]
     index, cent = lattice.index, lattice.cent

@@ -1,8 +1,9 @@
 """Command-line interface: compute lattices and verify the check corpus.
 
 Exit codes: 0 success (verify: no failures), 1 failed checks, 2 spec
-parse error or bad usage, 3 cap exceeded, 4 invalid group input, or an
-output file or cache entry that cannot be written.
+parse error or bad usage, 3 cap exceeded, 4 invalid group input, an
+unknown verify check id, or an output file or cache entry that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .report import (
     report_json,
 )
 from .specparse import evaluate, resolve
-from .subgroups import DEFAULT_SUBGROUP_CAP, check_enumerable, resolve_caps
+from .subgroups import DEFAULT_SUBGROUP_CAP, check_enumeration_limit, resolve_caps
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -233,10 +234,8 @@ def _cmd_compute(args) -> int:
             group = evaluate(args.spec, max_order=order_cap)
             # the report replays a subgroup search, so compute keeps the
             # enumeration limit that cd_lattice itself does not need
-            check_enumerable(group, enum_limit)
-            report = build_report(
-                text, group, cd_lattice(group), max_subgroups=args.max_subgroups
-            )
+            check_enumeration_limit(group, enum_limit)
+            report = build_report(text, cd_lattice(group), max_subgroups=args.max_subgroups)
     except _CAP_ERRORS as exc:
         return _emit_error(args, exc, EXIT_CAP)
     except _INVALID_ERRORS as exc:

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .cdlattice import CDResult
 from .checks import Verdict
-from .groups import Group
 from .subgroups import DEFAULT_SUBGROUP_CAP, replay_subgroups
 
 ENGINE_VERSION = "0.1.0"
@@ -24,11 +23,7 @@ _REPORT_KEYS = {"engine_version", "spec", "group", "max_measure", "members", "ha
 
 
 def build_report(
-    spec: str,
-    group: Group,
-    result: CDResult,
-    *,
-    max_subgroups: int = DEFAULT_SUBGROUP_CAP,
+    spec: str, result: CDResult, *, max_subgroups: int = DEFAULT_SUBGROUP_CAP
 ) -> dict:
     """Report dictionary for one lattice computation.
 
@@ -36,6 +31,7 @@ def build_report(
     replayed inside the top member (CD(G) is a lattice, so the last member
     contains the others); max_subgroups caps the subgroups that replay
     discovers."""
+    group = result.group
     masks = result.member_masks()
     replayed = replay_subgroups(group, masks[-1], masks, max_subgroups=max_subgroups)
     members = []

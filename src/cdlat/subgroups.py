@@ -223,10 +223,9 @@ class LatticeIndex:
     generators x of subs[i]: O(sum |H|) steps in all, where a containment
     test per pair takes n^2/2."""
 
-    __slots__ = ("subs", "above", "index", "cent")
+    __slots__ = ("above", "index", "cent")
 
     def __init__(self, g: Group, subs: Sequence[Subgroup]):
-        self.subs = subs
         n = len(subs)
         holding = [0] * g.order
         for j, h in enumerate(subs):
@@ -243,20 +242,6 @@ class LatticeIndex:
         self.above = above
         self.index = index = {h.mask: i for i, h in enumerate(subs)}
         self.cent = [index[centralizer(g, h).mask] for h in subs]
-
-
-def lattice_index(subs: Sequence[Subgroup]) -> LatticeIndex:
-    """The LatticeIndex of subs.  The index of the tuple all_subgroups(g)
-    is built on first use and kept on g; the cache holds that tuple and
-    is read only for it, so any other sequence gets an index of its own."""
-    g = subs[0].ambient
-    cached = g._cache.get("lattice")
-    if cached is not None and cached.subs is subs:
-        return cached
-    built = LatticeIndex(g, subs)
-    if subs is g._cache.get("subgroups"):
-        g._cache["lattice"] = built
-    return built
 
 
 def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:
@@ -360,7 +345,7 @@ def _capped_discovery(g: Group, within: int, max_subgroups: int) -> Iterator[tup
         yield item
 
 
-def check_enumerable(g: Group, max_order: int) -> None:
+def check_enumeration_limit(g: Group, max_order: int) -> None:
     """Raise EnumerationLimitExceeded if g is too large to enumerate."""
     if g.order > max_order:
         raise EnumerationLimitExceeded(
@@ -372,7 +357,7 @@ def all_subgroups(g: Group, *, max_order: int = DEFAULT_ENUM_LIMIT) -> tuple[Sub
     """Every subgroup of g, exactly once, canonically ordered, each with the
     generators it was discovered by.  Raises SubgroupCapExceeded past
     DEFAULT_SUBGROUP_CAP subgroups."""
-    check_enumerable(g, max_order)
+    check_enumeration_limit(g, max_order)
     cached = g._cache.get("subgroups")
     if cached is None:
         found = _capped_discovery(g, (1 << g.order) - 1, DEFAULT_SUBGROUP_CAP)

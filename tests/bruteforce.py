@@ -12,14 +12,13 @@ from itertools import combinations, permutations, repeat
 from operator import itemgetter
 
 from cdlat import Group, NotAGroup
-from cdlat.checks import _enumerable, _failed, _passed, _skipped, _subgroups
+from cdlat.checks import _failed, _lattice, _passed, _skipped, _subgroups
 from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
 from cdlat.groups import check_axioms, from_cayley
 from cdlat.subgroups import (
     centralizer,
     element_centralizer,
     join_subgroups,
-    lattice_index,
     product_set_mask,
 )
 
@@ -176,6 +175,19 @@ def brute_normal_closure_mask(g: Group, big_mask: int, small_mask: int) -> int:
         for h in small:
             conjugates.add(g.mul(g.mul(ki, h), k))
     return brute_closure_mask(g, conjugates)
+
+
+def brute_subnormal_defect(g: Group, mask: int) -> int | None:
+    """The subnormal defect of the subgroup `mask` by the chain K_0 = G,
+    K_(i+1) = <H^(K_i)> of naive normal closures; None when the chain
+    stops above H."""
+    current, depth = (1 << g.order) - 1, 0
+    while current != mask:
+        nxt = brute_normal_closure_mask(g, current, mask)
+        if nxt == current:
+            return None
+        current, depth = nxt, depth + 1
+    return depth
 
 
 def brute_product_set(g: Group, amask: int, bmask: int) -> int:
@@ -466,10 +478,10 @@ def brute_measure_lemmas(g: Group) -> tuple[str, dict | None, dict]:
     """measure-lemmas over positions in the enumerated subgroups, reading
     each meet from the mask index and each join by closing the two
     subgroups anew (`join_subgroups`), not from the lattice's up-sets."""
-    if not _enumerable(g):
-        return _skipped("group too large to enumerate")
     subs = _subgroups(g)
-    lattice = lattice_index(subs)
+    if subs is None:
+        return _skipped("group too large to enumerate")
+    lattice = _lattice(g)
     masks = [h.mask for h in subs]
     orders = [h.order for h in subs]
     index, cent = lattice.index, lattice.cent
@@ -527,5 +539,6 @@ def brute_cd_sublattice(g: Group, members) -> tuple[str, dict | None, dict]:
                 return _failed("product set HK is smaller than the join", [h, k])
             return _failed("literal product set HK differs from join", [h, k])
     n = len(subs)
-    stats = {"subgroups_enumerated": len(_subgroups(g))} if _enumerable(g) else {}
+    enumerated = _subgroups(g)
+    stats = {} if enumerated is None else {"subgroups_enumerated": len(enumerated)}
     return _passed(**stats, pairs_checked=n * (n - 1) // 2)

@@ -453,6 +453,29 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_checks.py",),
     ),
+    # the wreath checks' trivial-bottom gates: W = 1 wr C_n is C_n, whose
+    # center and base centralizer are all of W; only the random groups
+    # (`(perm:[(1)]) wr C2`) reach them
+    Mutant(
+        "wreath-center-trivial-bottom",
+        "src/cdlat/checks.py",
+        "    if bottom.order < 2:\n"
+        '        return _skipped("bottom group is trivial")\n'
+        "    n = meta.top_order\n"
+        "    zw = center(g)\n",
+        "    n = meta.top_order\n    zw = center(g)\n",
+        ("tests/test_random_groups.py",),
+    ),
+    Mutant(
+        "wreath-base-centralizer-trivial-bottom",
+        "src/cdlat/checks.py",
+        "    if bottom.order < 2:\n"
+        '        return _skipped("bottom group is trivial")\n'
+        "    n = meta.top_order\n"
+        "    base = base_subgroup(g)\n",
+        "    n = meta.top_order\n    base = base_subgroup(g)\n",
+        ("tests/test_random_groups.py",),
+    ),
     # run_check builds a spec text under the caps of its max_order
     Mutant(
         "run-check-drops-order-cap",
@@ -466,18 +489,29 @@ MUTANTS = (
     Mutant(
         "enumerated-stat-past-limit",
         "src/cdlat/checks.py",
-        "    if _enumerable(g):\n"
-        '        return {"subgroups_enumerated": len(_subgroups(g))}\n'
-        "    return {}\n",
-        '    return {"subgroups_enumerated": len(_subgroups(g))}\n',
+        '{} if subs is None else {"subgroups_enumerated": len(subs)}',
+        '{"subgroups_enumerated": len(subs or ())}',
         ("tests/test_checks.py",),
     ),
     Mutant(
         "enumerated-stat-dropped",
         "src/cdlat/checks.py",
-        'return {"subgroups_enumerated": len(_subgroups(g))}',
-        "return {}",
+        'else {"subgroups_enumerated": len(subs)}',
+        "else {}",
         ("tests/test_checks.py", "tests/test_report_cli.py"),
+    ),
+    # a tuple kept by a run under a raised cap is read before the limit of
+    # the running check is tested
+    Mutant(
+        "subgroups-kept-before-limit",
+        "src/cdlat/checks.py",
+        "    limit = _CAPS.get()[1]\n    if g.order > limit:\n",
+        '    kept = g._cache.get("subgroups")\n'
+        "    if kept is not None:\n"
+        "        return kept\n"
+        "    limit = _CAPS.get()[1]\n"
+        "    if g.order > limit:\n",
+        ("tests/test_checks.py",),
     ),
     # the record classes: Verdict defaults and type-sensitive equality
     Mutant(

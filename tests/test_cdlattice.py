@@ -323,8 +323,8 @@ def test_closure_matches_enumerate_then_scan():
         new = cd_lattice(g)
         assert new.max_measure == old.max_measure == max_measure(g), spec
         assert new.member_masks() == old.member_masks(), spec
-        want = report_json(build_report(spec, old.group, old))
-        assert report_json(build_report(spec, g, new)) == want, spec
+        want = report_json(build_report(spec, old))
+        assert report_json(build_report(spec, new)) == want, spec
 
 
 def test_cd_of_subgroup_matches_brute_force_inside_every_subgroup():
@@ -379,14 +379,14 @@ def test_max_subgroups_caps_the_subgroups_the_replay_discovers(monkeypatch):
     g = fresh_group("D12 wr C2")
     result = cd_lattice(g)
     with pytest.raises(SubgroupCapExceeded):
-        build_report("D12 wr C2", g, result, max_subgroups=10)
-    report = build_report("D12 wr C2", g, result, max_subgroups=100)
+        build_report("D12 wr C2", result, max_subgroups=10)
+    report = build_report("D12 wr C2", result, max_subgroups=100)
     with pytest.raises(SubgroupCapExceeded):
-        build_report("D12 wr C2", g, result, max_subgroups=10)  # still capped
+        build_report("D12 wr C2", result, max_subgroups=10)  # still capped
     monkeypatch.setattr(subgroups, "DEFAULT_SUBGROUP_CAP", 100)
     with pytest.raises(SubgroupCapExceeded):
         all_subgroups(g)
-    assert report == build_report("D12 wr C2", g, result)
+    assert report == build_report("D12 wr C2", result)
 
 
 @pytest.mark.parametrize("spec", ["D8 x D8 x C2", "D8 wr C2", "Q8 wr C3"])

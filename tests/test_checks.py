@@ -137,6 +137,25 @@ def test_ungated_checks_read_no_enumeration(monkeypatch):
         assert (b.status, b.witness, b.stats) == (a.status, a.witness, stats), b
 
 
+def test_a_raised_cap_leaves_nothing_enumerated_under_the_default_limit():
+    # one group object, enumerated first under a raised cap: the subgroups
+    # and the lattice index it keeps must not reach a later check whose
+    # limit the group exceeds
+    g = evaluate("S5 x C5", max_order=1000)
+    assert g.order == 600
+    for check_id in ("useful-prop", "measure-lemmas"):
+        v = run_check(check_id, g, max_order=1000)
+        assert v.status == "passed", (v.witness, v.stats)
+        assert v.stats["subgroups_enumerated"] == 336
+    for check_id in ("useful-prop", "measure-lemmas"):
+        v = run_check(check_id, g)
+        assert v.status == "skipped", (check_id, v.stats)
+        assert "too large" in v.stats["skip_reason"]
+    v = run_check("cd-sublattice", g)
+    assert v.status == "passed", (v.witness, v.stats)
+    assert "subgroups_enumerated" not in v.stats
+
+
 @pytest.mark.parametrize(
     "check_id, spec, reason_fragment",
     [

@@ -62,7 +62,7 @@ FROZEN = SPEC_NODES + [
         },
     ),
     (CDResult, {"group": C2, "max_measure": 4, "members": (), "above": (2, 0)}),
-    (SubgroupCD, {"ambient": S3, "max_measure": 9, "member_masks": (7,), "cl_masks": ()}),
+    (SubgroupCD, {"max_measure": 9, "member_masks": (7,), "cl_masks": ()}),
     (CheckDef, {"check_id": "x", "claim": "a claim", "fn": len, "default_specs": ("C2",)}),
     (PermutationGenSet, {"degree": 3, "generators": ((1, 0, 2), (0, 2, 1))}),
     (DirectProductMeta, {"factors": (C2, S3)}),

@@ -29,8 +29,7 @@ from bruteforce import relabelled
 
 
 def s3_report():
-    g = named_group("S", 3)
-    return build_report("S3", g, cd_lattice(g))
+    return build_report("S3", cd_lattice(named_group("S", 3)))
 
 
 def test_report_schema():
@@ -84,7 +83,7 @@ def test_report_json_is_json_dumps_on_every_report():
     groups = [(spec, evaluate(spec)) for spec in COMPUTE_MIX_SPECS]
     groups.append(("cayley:g128", relabelled(evaluate("D16 x D8"), 3)[0]))
     for spec, g in groups:
-        report = build_report(spec, g, cd_lattice(g))
+        report = build_report(spec, cd_lattice(g))
         assert report_json(report) == _dumps(report), spec
 
 
@@ -147,8 +146,7 @@ def test_dot_format():
     dot = export_dot(s3_report())
     assert 'n0 [label="o=3 [N][CL]"];' in dot
     assert dot.startswith("digraph cd_lattice {")
-    d8_group = named_group("D", 8)
-    d8 = export_dot(build_report("D8", d8_group, cd_lattice(d8_group)))
+    d8 = export_dot(build_report("D8", cd_lattice(named_group("D", 8))))
     assert d8.count("->") == 6
     assert 'label="o=2 [N]"' in d8  # the center: normal but not CL
 

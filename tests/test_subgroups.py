@@ -27,8 +27,8 @@ from cdlat.corpus import G32_GENS, corpus_group, universal_corpus_specs
 from cdlat.groups import TABLE_LIMIT
 from cdlat.report import build_report
 from cdlat.specparse import evaluate
-from cdlat import subgroups
-from cdlat.subgroups import bits_of, product_set_mask, replay_subgroups
+from cdlat import checks, subgroups
+from cdlat.subgroups import LatticeIndex, bits_of, product_set_mask, replay_subgroups
 
 from bruteforce import (
     ORACLE_SPECS,
@@ -44,6 +44,7 @@ from bruteforce import (
     brute_normalizer_mask,
     brute_product_set,
     brute_subgroup_masks,
+    brute_subnormal_defect,
     fresh_group,
     relabelled,
 )
@@ -390,11 +391,18 @@ def test_join_matches_brute_force_for_every_pair():
 
 def test_lattice_join_matches_brute_force_for_every_pair():
     # the join is the highest bit common to both up-sets, as measure-lemmas
-    # reads it
+    # reads it; the index holds for any order of the subgroups, so S4's
+    # come again sorted by order with the ties reversed
+    inputs = [(g, all_subgroups(g)) for g in pair_oracle_groups()]
+    g = fresh_group("S4")
+    subs = all_subgroups(g)
+    rank = {h.mask: i for i, h in enumerate(subs)}
+    reordered = tuple(sorted(subs, key=lambda h: (h.order, -rank[h.mask])))
+    assert reordered != subs
+    inputs.append((g, reordered))
     pairs = 0
-    for g in pair_oracle_groups():
-        subs = all_subgroups(g)
-        lattice = subgroups.lattice_index(subs)
+    for g, subs in inputs:
+        lattice = LatticeIndex(g, subs)
         above, n = lattice.above, len(subs)
         for i, h in enumerate(subs):
             assert lattice.index[h.mask] == i
@@ -405,7 +413,7 @@ def test_lattice_join_matches_brute_force_for_every_pair():
                 want = brute_closure_mask(g, bits_of(h.mask | k.mask))
                 join = subs[n - (above[i] & above[j]).bit_length()]
                 assert join.mask == want, (g.name, h.mask, k.mask)
-    assert pairs == 22325
+    assert pairs == 22325 + 30 * 30
 
 
 def test_lattice_up_sets_and_joins_match_containment_on_the_oracle_specs():
@@ -415,7 +423,7 @@ def test_lattice_up_sets_and_joins_match_containment_on_the_oracle_specs():
     for spec in ORACLE_SPECS:
         g = evaluate(spec)
         subs = all_subgroups(g)
-        lattice = subgroups.lattice_index(subs)
+        lattice = checks._lattice(g)
         n = len(subs)
         for i, h in enumerate(subs):
             want = [not h.mask & ~k.mask for k in subs]
@@ -429,33 +437,6 @@ def test_lattice_up_sets_and_joins_match_containment_on_the_oracle_specs():
     assert pairs == 194992
 
 
-def test_lattice_index_is_kept_for_the_enumeration_tuple_alone():
-    g = fresh_group("S4")
-    subs = all_subgroups(g)
-    kept = subgroups.lattice_index(subs)
-    assert g._cache["lattice"] is kept and subgroups.lattice_index(subs) is kept
-    # every subgroup again, sorted by order with the ties reversed: the
-    # positions differ, so an index served from the cache would be wrong
-    rank = {h.mask: i for i, h in enumerate(subs)}
-    reordered = tuple(sorted(subs, key=lambda h: (h.order, -rank[h.mask])))
-    assert reordered != subs
-    for other in (list(subs), tuple(list(subs)), reordered):
-        lattice = subgroups.lattice_index(other)
-        assert lattice is not kept and lattice.subs is other
-        assert g._cache["lattice"] is kept
-        above, n = lattice.above, len(other)
-        for i, h in enumerate(other):
-            for j, k in enumerate(other):
-                want = brute_closure_mask(g, bits_of(h.mask | k.mask))
-                assert other[n - (above[i] & above[j]).bit_length()].mask == want
-    # a new enumeration tuple replaces the kept index
-    del g._cache["subgroups"]
-    fresh = all_subgroups(g)
-    assert fresh is not subs
-    assert subgroups.lattice_index(fresh) is not kept
-    assert g._cache["lattice"].subs is fresh
-
-
 def test_a_verify_pass_builds_each_lattice_index_once(monkeypatch):
     from cdlat import corpus, groups, specparse
     from cdlat.checks import default_pairs, run_pairs
@@ -464,13 +445,13 @@ def test_a_verify_pass_builds_each_lattice_index_once(monkeypatch):
     monkeypatch.setattr(specparse, "_EVAL_CACHE", {})
     monkeypatch.setattr(corpus, "_CACHE", {})
     built = []
-    build = subgroups.LatticeIndex
+    build = checks.LatticeIndex
 
     def spy(g, subs):
         built.append(g)
         return build(g, subs)
 
-    monkeypatch.setattr(subgroups, "LatticeIndex", spy)
+    monkeypatch.setattr(checks, "LatticeIndex", spy)
     # tables are gathered on the cold pass alone: d12-counterexample and
     # the corpus spec `D12 wr C2` share the wreath kept on D12
     gathered = []
@@ -513,18 +494,9 @@ def test_product_set_matches_brute_force_for_every_pair():
 
 def test_subnormal_defect_matches_brute_force_chain():
     for g in pair_oracle_groups():
-        full = (1 << g.order) - 1
         for h in all_subgroups(g):
-            # K_0 = G, K_{i+1} = <h^{K_i}>, until h or a fixed point
-            current, depth = full, 0
-            while current != h.mask:
-                nxt = brute_normal_closure_mask(g, current, h.mask)
-                depth += 1
-                if nxt == current:
-                    depth = None
-                    break
-                current = nxt
-            assert subnormal_defect(g, h) == depth, (g.name, h.mask)
+            want = brute_subnormal_defect(g, h.mask)
+            assert subnormal_defect(g, h) == want, (g.name, h.mask)
 
 
 def test_normalizer_matches_brute_force_over_the_corpus():
@@ -639,7 +611,5 @@ def test_report_caps_the_replay_at_the_last_member(spec):
     if spec == "C2 x C4":
         assert discovered < len(subs)
     with pytest.raises(SubgroupCapExceeded):
-        build_report(spec, g, result, max_subgroups=discovered - 1)
-    assert build_report(spec, g, result, max_subgroups=discovered) == build_report(
-        spec, g, result
-    )
+        build_report(spec, result, max_subgroups=discovered - 1)
+    assert build_report(spec, result, max_subgroups=discovered) == build_report(spec, result)
