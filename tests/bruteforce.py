@@ -14,7 +14,7 @@ from operator import itemgetter
 from cdlat import Group, NotAGroup
 from cdlat.checks import _failed, _lattice, _passed, _skipped, _subgroups
 from cdlat.corpus import ENUMERABLE_WREATH_SPECS, universal_corpus_specs
-from cdlat.groups import check_axioms, from_cayley
+from cdlat.groups import check_axioms, from_cayley, ut_entry_bit
 from cdlat.subgroups import (
     centralizer,
     element_centralizer,
@@ -397,6 +397,27 @@ def brute_permutation_table(g: Group) -> tuple[list[list[int]], list[int]]:
     # the inverse lists, at each point, the point that p sends there
     inv = [where[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in images]
     return rows, inv
+
+
+def brute_ut_product(n: int, a: int, b: int) -> int:
+    """The product of UT(n, 2) indices a and b as 0/1 matrices: each is
+    decoded entry by entry through ut_entry_bit, the two are multiplied
+    mod 2 row by column, and the product's entries above the diagonal are
+    encoded the same way."""
+    above = [(i, j, ut_entry_bit(n, i, j)) for i in range(n) for j in range(i + 1, n)]
+
+    def matrix(x: int) -> list[list[int]]:
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i, j, t in above:
+            m[i][j] = x >> t & 1
+        return m
+
+    ma, mb = matrix(a), matrix(b)
+    out = 0
+    for i, j, t in above:
+        if sum(ma[i][k] * mb[k][j] for k in range(n)) % 2:
+            out |= 1 << t
+    return out
 
 
 def brute_discovery(g: Group) -> list[tuple[int, tuple[int, ...]]]:

@@ -8,8 +8,9 @@ Run it by hand from the repository root, for all mutants or some by name:
 For each mutant it copies `src/`, `tests/` and `pyproject.toml` to a
 temporary directory, replaces one exact snippet of one source file there,
 runs the test files expected to catch the change with `-x -q`, and prints
-whether they killed it and how long they took.  It writes nothing inside
-the repository.  It exits 1 if any mutant survived, or if a run ended in
+whether they killed it and how long they took; a last line counts the
+outcomes, as `N mutants: K killed, S survived, E errors`.  It writes
+nothing inside the repository.  It exits 1 if any mutant survived, or if a run ended in
 anything but passing or failing tests (a collection or usage error says
 nothing about the tests).
 
@@ -281,6 +282,22 @@ MUTANTS = (
         _GROUPS,
         "_compose(_e[a], _e[b])",
         "_compose(_e[b], _e[a])",
+        ("tests/test_groups.py",),
+    ),
+    # UT(n,2)'s carry product: a's column k against b's row k, for every
+    # middle index k; the swapped operands give the opposite group
+    Mutant(
+        "ut-carry-operands-swapped",
+        _GROUPS,
+        "c ^= outer[col[a]][row[b]]",
+        "c ^= outer[col[b]][row[a]]",
+        ("tests/test_groups.py",),
+    ),
+    Mutant(
+        "ut-carry-drops-last-middle",
+        _GROUPS,
+        "for k in range(1, n - 1):",
+        "for k in range(1, n - 2):",
         ("tests/test_groups.py",),
     ),
     # a kept wreath is returned only once its order is under the cap
@@ -578,13 +595,17 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     chosen = [by_name[name] for name in argv] if argv else list(MUTANTS)
-    bad = 0
+    counts = dict.fromkeys(("killed", "survived", "error"), 0)
     with tempfile.TemporaryDirectory(prefix="cdlat-mutants-") as scratch:
         for mutant in chosen:
             outcome, elapsed = run(mutant, Path(scratch))
-            bad += outcome != "killed"
+            counts[outcome] += 1
             print(f"{outcome:8}  {mutant.name:32}  {elapsed:6.1f} s", flush=True)
-    return 1 if bad else 0
+    print(
+        f"{len(chosen)} mutants: {counts['killed']} killed, "
+        f"{counts['survived']} survived, {counts['error']} errors"
+    )
+    return 1 if counts["survived"] or counts["error"] else 0
 
 
 if __name__ == "__main__":

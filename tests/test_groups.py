@@ -25,7 +25,12 @@ from cdlat import (
 from cdlat.cli import main
 from cdlat.groups import TABLE_LIMIT
 
-from bruteforce import ORACLE_SPECS, brute_from_cayley, brute_permutation_table
+from bruteforce import (
+    ORACLE_SPECS,
+    brute_from_cayley,
+    brute_permutation_table,
+    brute_ut_product,
+)
 
 S4_GENS = PermutationGenSet.from_cycles([[(1, 2)], [(1, 2, 3, 4)]])
 S3_GENS = PermutationGenSet.from_cycles([[(1, 2)], [(1, 2, 3)]])
@@ -288,6 +293,23 @@ def test_ut52_sampled_associativity():
     for _ in range(3000):
         a, b, c = rng.randrange(1024), rng.randrange(1024), rng.randrange(1024)
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ut_product_matches_matrix_multiplication(n):
+    # every pair up to UT(4,2), seeded pairs above; UT(6,2) has order
+    # 32768, past the default cap.  The opposite group would pass the
+    # associativity and commutator tests above, but not this one.
+    g = named_group("UT", n, max_order=2**15)
+    if g.order <= 64:
+        pairs = [(a, b) for a in range(g.order) for b in range(g.order)]
+    else:
+        rng = random.Random(n)
+        count = 20000 if n == 5 else 4000
+        pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(count)]
+    for a, b in pairs:
+        assert g.table[a][b] == brute_ut_product(n, a, b), (a, b)
+    assert all(g.table[a][g.inv(a)] == 0 for a in range(g.order))
 
 
 def test_cayley_file_comments_and_errors(tmp_path):

@@ -221,6 +221,23 @@ def test_formula_backed_twin_agrees_with_table(spec):
     )
 
 
+@pytest.mark.parametrize("spec", ["corpus:ut52", "D8 wr C2"])
+def test_formula_rows_are_made_once_and_agree_with_the_tuple_table(spec):
+    g = evaluate(spec)
+    if g.rows() is None:
+        # the tuple table product_table gathers once the limit admits it
+        rows = groups.product_table(g.order, g.mul, g.known_gens, g.order)
+    else:
+        rows, g = g.rows(), _formula_twin(g)
+    assert g.rows() is None
+    # reading a row allocates nothing: it is the same object every time
+    assert all(g.table[a] is g.table[a] for a in range(g.order))
+    rng = random.Random(11)
+    for _ in range(5000):
+        a, b = rng.randrange(g.order), rng.randrange(g.order)
+        assert g.table[a][b] == rows[a][b], (a, b)
+
+
 def test_formula_backed_direct_product_matches_the_table():
     d8, c4 = named_group("D", 8), named_group("C", 4)
     f, g = direct_product(_formula_twin(d8), c4), direct_product(d8, c4)
