@@ -19,7 +19,7 @@ from .cdlattice import (
     measure,
 )
 from .checks import Verdict, check_ids, default_pairs, run_check, run_pairs
-from .corpus import corpus_group, corpus_names, universal_corpus_specs
+from .corpus import corpus_group, universal_corpus_specs
 from .errors import (
     BadParameter,
     CDLatError,
@@ -72,13 +72,10 @@ from .subgroups import (
     centralizer,
     closure,
     full_subgroup,
-    is_normal,
     join_subgroups,
     normal_closure,
     normalizer,
-    product_set_mask,
     subnormal_defect,
-    trivial_subgroup,
 )
 
 __version__ = ENGINE_VERSION

@@ -113,12 +113,6 @@ class CDResult(Record):
     def cl_masks(self) -> list[int]:
         return [m.subgroup.mask for m in self.members if m.is_centrally_large]
 
-    def index_of(self, mask: int) -> int:
-        for i, m in enumerate(self.members):
-            if m.subgroup.mask == mask:
-                return i
-        raise KeyError(f"mask {mask:#x} is not a lattice member")
-
 
 def cd_lattice(g: Group) -> CDResult:
     """All subgroups of maximal measure, with their up-sets (the Hasse

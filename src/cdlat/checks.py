@@ -415,7 +415,7 @@ def _check_g32_nonnormal(g: Group):
         return _skipped("needs the g32 corpus fixture")
     a, b, d = G32_GENS["a"], G32_GENS["b"], G32_GENS["d"]
     result = cd_lattice(g)
-    masks = set(result.member_masks())
+    position = {mask: i for i, mask in enumerate(result.member_masks())}
     table = g.table
     da = table[d][a]
     da3 = table[d][table[table[a][a]][a]]
@@ -425,15 +425,14 @@ def _check_g32_nonnormal(g: Group):
         "<b,da3>": closure(g, [b, da3]),
     }
     for label, sub in targets.items():
-        if sub.mask not in masks:
+        if sub.mask not in position:
             return _failed(f"{label} missing from the lattice", [sub])
-        member = result.members[result.index_of(sub.mask)]
-        if member.is_normal:
+        if result.members[position[sub.mask]].is_normal:
             return _failed(f"{label} is unexpectedly normal", [sub])
     x = targets["<a,b>"]
     if d in normalizer(g, x):
         return _failed("d normalizes <a,b>", [x])
-    if result.members[result.index_of(x.mask)].defect != 2:
+    if result.members[position[x.mask]].defect != 2:
         return _failed("<a,b> does not have defect 2", [x])
     for m in result.members:
         if subnormal_defect(g, m.subgroup) is None:

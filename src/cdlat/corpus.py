@@ -42,24 +42,15 @@ _REGISTRY: dict[str, Callable[[], Group]] = {
     "ut52": lambda: named_group("UT", 5),
 }
 
-_CACHE: dict[str, Group] = {}
-
 
 def corpus_group(name: str) -> Group:
-    """The registered fixture group; instances are cached per process."""
+    """A new instance of the registered fixture group; `evaluate` keeps
+    the one a spec builds."""
     builder = _REGISTRY.get(name)
     if builder is None:
         known = ", ".join(sorted(_REGISTRY))
         raise UnknownFixture(f"no corpus fixture {name!r} (known: {known})")
-    group = _CACHE.get(name)
-    if group is None:
-        group = builder()
-        _CACHE[name] = group
-    return group
-
-
-def corpus_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    return builder()
 
 
 def ut52_abelian_subgroup(g: Group) -> Subgroup:

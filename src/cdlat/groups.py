@@ -136,10 +136,6 @@ class Group:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def conj(self, x: int, g: int) -> int:
-        """x^g = g^-1 x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
-
     def rows(self) -> list[tuple[int, ...]] | None:
         """Full multiplication table, or None for formula-backed groups."""
         return None if isinstance(self.table, FormulaTable) else self.table
@@ -151,17 +147,6 @@ class Group:
             y = self.mul(y, x)
             n += 1
         return n
-
-    def is_abelian(self) -> bool:
-        cached = self._cache.get("abelian")
-        if cached is None:
-            table = self.table
-            n = self.order
-            cached = all(
-                table[a][b] == table[b][a] for a in range(n) for b in range(a + 1, n)
-            )
-            self._cache["abelian"] = cached
-        return cached
 
     def __repr__(self):
         return f"Group({self.name!r}, order={self.order})"

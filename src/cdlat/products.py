@@ -21,11 +21,6 @@ class DirectProductMeta(Record):
     def coord_of(self, x: int) -> tuple[int, int]:
         return divmod(x, self.factors[1].order)
 
-    def embed(self, factor: int, x: int) -> int:
-        if factor == 0:
-            return x * self.factors[1].order
-        return x
-
 
 def direct_product(
     g: Group, h: Group, *, max_order: int = DEFAULT_ORDER_CAP

@@ -103,10 +103,6 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.ambient.name})"
 
 
-def trivial_subgroup(g: Group) -> Subgroup:
-    return Subgroup(g, 1, gens=())
-
-
 def full_subgroup(g: Group) -> Subgroup:
     cached = g._cache.get("full_subgroup")
     if cached is None:
@@ -242,11 +238,6 @@ class LatticeIndex:
         self.above = above
         self.index = index = {h.mask: i for i, h in enumerate(subs)}
         self.cent = [index[centralizer(g, h).mask] for h in subs]
-
-
-def product_set_mask(g: Group, h: Subgroup, k: Subgroup) -> int:
-    """Bitmask of the literal product set HK = {h*k}."""
-    return product_mask(g, h.elements(), k.elements())
 
 
 def product_mask(g: Group, left: Sequence[int], right: Sequence[int]) -> int:
@@ -484,10 +475,6 @@ def normalizer(g: Group, h: Subgroup) -> Subgroup:
         if all(hmask >> table[row_xi[s]][x] & 1 for s in gens):
             mask |= 1 << x
     return Subgroup(g, mask)
-
-
-def is_normal(g: Group, h: Subgroup) -> bool:
-    return normalizer(g, h).order == g.order
 
 
 def normal_closure(big: Subgroup, small: Subgroup) -> Subgroup:

@@ -1,8 +1,29 @@
 """Independent brute-force oracles.
 
-Everything here works element by element from the multiplication table
+Most oracles here work element by element from the multiplication table
 alone, deliberately ignoring the engine's generator shortcuts, coset
 extensions and caches, so the two paths can disagree when one is wrong.
+Some share an engine piece that other tests check against a table-only
+oracle, because they test something built on top of it:
+
+- `brute_maximal_centralizers` reads `element_centralizer` (checked
+  against `brute_element_centralizer_mask`); it tests the scan over them.
+- `brute_measure_lemmas` and `brute_cd_sublattice` are the per-pair forms
+  of two checks, and test the checks' row walk and element lists.  They
+  take the enumerated subgroups and lattice index from `checks._subgroups`
+  and `checks._lattice`, joins from `join_subgroups`, and verdicts from
+  `checks._failed`/`_passed`/`_skipped`.  Centralizers come from the
+  engine too (the index's `cent`, or `centralizer`), so a test that makes
+  `subgroups.centralizer` wrong sees the same wrong value in a check and
+  in its oracle.  Product sets come from the table.
+- `brute_from_cayley` ends with the engine's `check_axioms`: it is the
+  oracle of `from_cayley`'s validation passes, while associativity has
+  its own table-only oracle, `brute_is_associative`.
+- `brute_ut_product` decodes indices through `ut_entry_bit`, the encoding
+  it compares against.
+
+`fresh_group` and `relabelled` build test inputs with `evaluate`, `Group`
+and `from_cayley`; they are not oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +40,6 @@ from cdlat.subgroups import (
     centralizer,
     element_centralizer,
     join_subgroups,
-    product_set_mask,
 )
 
 # every group the oracles are compared on: the universal corpus, the
@@ -533,8 +553,8 @@ def brute_measure_lemmas(g: Group) -> tuple[str, dict | None, dict]:
 
 def brute_cd_sublattice(g: Group, members) -> tuple[str, dict | None, dict]:
     """cd-sublattice on the given CD members, with up-sets from a
-    containment test per pair and each product set from the two subgroups
-    (`product_set_mask`)."""
+    containment test per pair and each product set read from the table
+    (`brute_product_set`)."""
     subs = [m.subgroup for m in members]
     masks = [h.mask for h in subs]
     at = {mask: i for i, mask in enumerate(masks)}
@@ -551,7 +571,7 @@ def brute_cd_sublattice(g: Group, members) -> tuple[str, dict | None, dict]:
                 return _failed("member intersection escapes the lattice", [h, k])
             both = up[i] & up[j]
             least = masks[(both & -both).bit_length() - 1] if both else None
-            if product_set_mask(g, h, k) == least:
+            if brute_product_set(g, h.mask, k.mask) == least:
                 continue
             join = join_subgroups(h, k)
             if join.mask not in at:

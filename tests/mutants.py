@@ -189,6 +189,14 @@ MUTANTS = (
         "product_mask(g, elems[i], elems[i])",
         ("tests/test_checks.py",),
     ),
+    # g32-nonnormal reads <a,b>'s defect at its own position in CD(G)
+    Mutant(
+        "g32-nonnormal-defect-position",
+        "src/cdlat/checks.py",
+        "result.members[position[x.mask]].defect != 2",
+        "result.members[0].defect != 2",
+        ("tests/test_checks.py",),
+    ),
     # the centralizers in S are all intersections of element centralizers
     Mutant(
         "centralizers-skip-last",

@@ -121,7 +121,7 @@ def test_criterion_04_abelian_corpus():
         checked = 0
         for spec in universal_corpus_specs():
             g = evaluate(spec)
-            if not g.is_abelian():
+            if center(g).order != g.order:
                 continue
             result = cd_lattice(g)
             assert result.max_measure == g.order**2, spec
@@ -159,20 +159,20 @@ def test_criterion_06_g32():
     with criterion(6, "g32: <a,b> in CD, not normal, defect exactly 2"):
         g = evaluate("corpus:g32")
         result = cd_lattice(g)
-        masks = set(result.member_masks())
+        at = {mask: i for i, mask in enumerate(result.member_masks())}
         a, b, d = G32_GENS["a"], G32_GENS["b"], G32_GENS["d"]
         x = closure(g, [a, b])
         assert x.order == 8
-        assert x.mask in masks
-        xm = result.members[result.index_of(x.mask)]
+        assert x.mask in at
+        xm = result.members[at[x.mask]]
         assert not xm.is_normal
         assert xm.defect == 2
         assert d not in normalizer(g, x)
         da = g.mul(d, a)
         da3 = g.mul(d, g.mul(g.mul(a, a), a))
         for other in (closure(g, [b, da]), closure(g, [b, da3])):
-            assert other.mask in masks
-            assert not result.members[result.index_of(other.mask)].is_normal
+            assert other.mask in at
+            assert not result.members[at[other.mask]].is_normal
         for m in result.members:
             assert m.defect >= 0
 

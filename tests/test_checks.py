@@ -306,7 +306,7 @@ def test_measure_lemmas_fails_on_a_wrong_centralizer(monkeypatch):
 
     def wrong(g, h):
         if h.order == g.order:
-            return subgroups.trivial_subgroup(g)
+            return subgroups.Subgroup(g, 1, gens=())
         return true_centralizer(g, h)
 
     monkeypatch.setattr(subgroups, "centralizer", wrong)
@@ -498,7 +498,7 @@ def _lattice(masks):
 
 
 def _trivial(g, *_):
-    return subgroups.trivial_subgroup(g)
+    return subgroups.Subgroup(g, 1, gens=())
 
 
 def _without_top(real):

@@ -2,24 +2,29 @@
 
 import pytest
 
-from cdlat import UnknownFixture, check_axioms, closure, corpus_group, corpus_names
+from cdlat import UnknownFixture, check_axioms, closure, corpus_group
 from cdlat.corpus import (
     G32_GENS,
     universal_corpus_specs,
     ut52_abelian_subgroup,
 )
+from cdlat.groups import DEFAULT_ORDER_CAP
 from cdlat.specparse import evaluate, parse_spec
 
 
 def test_registry():
-    assert corpus_names() == ("g32", "ut52")
-    with pytest.raises(UnknownFixture):
+    with pytest.raises(UnknownFixture, match=r"\(known: g32, ut52\)$"):
         corpus_group("unknown")
 
 
-def test_corpus_groups_are_cached():
-    assert corpus_group("g32") is corpus_group("g32")
-    assert corpus_group("ut52") is corpus_group("ut52")
+def test_evaluate_keeps_one_fixture_group_per_order_cap():
+    # evaluate's memo is the only one: each corpus_group call builds anew
+    g = evaluate("corpus:g32")
+    assert evaluate("corpus:g32") is g
+    raised = evaluate("corpus:g32", max_order=DEFAULT_ORDER_CAP + 1)
+    assert raised is not g and raised.order == 32
+    assert evaluate("corpus:g32", max_order=DEFAULT_ORDER_CAP + 1) is raised
+    assert corpus_group("g32") is not corpus_group("g32")
 
 
 def test_g32_presentation_holds():
